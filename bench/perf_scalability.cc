@@ -44,19 +44,37 @@ KernelTrace TraceOfSize(int64_t n) {
   return trace;
 }
 
-void BM_StemRootBuildPlan(benchmark::State& state) {
+/// STEM's seed-independent phase: ROOT clustering (per kernel, on the
+/// pool) plus the joint KKT sizing. Runs once per trace.
+void BM_StemStratify(benchmark::State& state) {
   const KernelTrace trace = TraceOfSize(state.range(0));
   core::StemRootSampler sampler;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.BuildPlan(trace, 1));
+    benchmark::DoNotOptimize(sampler.Stratify(trace));
   }
   state.SetComplexityN(static_cast<int64_t>(trace.NumInvocations()));
 }
-BENCHMARK(BM_StemRootBuildPlan)
+BENCHMARK(BM_StemStratify)
     ->RangeMultiplier(4)
     ->Range(1000, 256000)
     ->Complexity(benchmark::oNLogN)
     ->Unit(benchmark::kMillisecond);
+
+/// STEM's per-rep phase: one seeded draw from fixed strata.
+void BM_StemDraw(benchmark::State& state) {
+  const KernelTrace trace = TraceOfSize(state.range(0));
+  core::StemRootSampler sampler;
+  const std::unique_ptr<const core::Strata> strata = sampler.Stratify(trace);
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.Draw(*strata, ++seed));
+  }
+  state.SetComplexityN(static_cast<int64_t>(trace.NumInvocations()));
+}
+BENCHMARK(BM_StemDraw)
+    ->RangeMultiplier(4)
+    ->Range(1000, 256000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PhotonBuildPlan(benchmark::State& state) {
   const KernelTrace trace = TraceOfSize(state.range(0));

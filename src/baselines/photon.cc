@@ -22,9 +22,10 @@ PhotonSampler::PhotonSampler(PhotonConfig config) : config_(config) {
 
 uint64_t PhotonSampler::LastComparisonCount() { return g_comparisons; }
 
-core::SamplingPlan PhotonSampler::BuildPlan(const KernelTrace& trace,
-                                            uint64_t seed) const {
-  (void)seed;  // fully deterministic (online first-occurrence analysis)
+std::unique_ptr<const core::Strata> PhotonSampler::Stratify(
+    const KernelTrace& trace) const {
+  // Fully deterministic (online first-occurrence analysis): the whole
+  // plan is built here and Draw hands it out.
   if (trace.Empty())
     throw std::invalid_argument("PhotonSampler: empty trace");
   g_comparisons = 0;
@@ -61,17 +62,25 @@ core::SamplingPlan PhotonSampler::BuildPlan(const KernelTrace& trace,
     if (!matched) reps.push_back({i, inv.kernel_id, warps, bbv, 1});
   }
 
-  core::SamplingPlan plan;
+  auto strata = std::make_unique<core::FixedPlanStrata>();
+  core::SamplingPlan& plan = strata->plan;
   plan.method = Name();
   plan.num_clusters = reps.size();
   plan.entries.reserve(reps.size());
   for (const Representative& rep : reps)
     plan.entries.push_back(
         {rep.invocation, static_cast<double>(rep.represented)});
-  telemetry::Count("baselines.photon.plans");
   telemetry::Count("baselines.photon.comparisons", g_comparisons);
+  return strata;
+}
+
+core::SamplingPlan PhotonSampler::Draw(const core::Strata& strata,
+                                       uint64_t /*seed*/) const {
+  const core::SamplingPlan& plan =
+      core::StrataAs<core::FixedPlanStrata>(strata, "PhotonSampler").plan;
+  telemetry::Count("baselines.photon.plans");
   telemetry::Record("baselines.photon.reps_per_plan",
-                    static_cast<double>(reps.size()));
+                    static_cast<double>(plan.num_clusters));
   return plan;
 }
 

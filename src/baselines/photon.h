@@ -34,11 +34,13 @@ class PhotonSampler : public core::Sampler {
 
   std::string Name() const override { return "Photon"; }
   bool Deterministic() const override { return true; }
-  core::SamplingPlan BuildPlan(const KernelTrace& trace,
-                               uint64_t seed) const override;
+  std::unique_ptr<const core::Strata> Stratify(
+      const KernelTrace& trace) const override;
+  core::SamplingPlan Draw(const core::Strata& strata,
+                          uint64_t seed) const override;
 
   /// Number of representative comparisons performed by the last
-  /// BuildPlan on this thread -- exposes the quadratic cost for the
+  /// Stratify on this thread -- exposes the quadratic cost for the
   /// scalability bench.
   static uint64_t LastComparisonCount();
 

@@ -19,8 +19,18 @@ std::string PkaSampler::Name() const {
   return config_.random_representative ? "PKA(random-rep)" : "PKA";
 }
 
-core::SamplingPlan PkaSampler::BuildPlan(const KernelTrace& trace,
-                                         uint64_t seed) const {
+namespace {
+
+/// PKA's strata: the elbow-chosen k-means clusters (non-empty, in cluster
+/// order); members are in timeline order.
+struct PkaStrata final : core::Strata {
+  std::vector<std::vector<uint32_t>> clusters;
+};
+
+}  // namespace
+
+std::unique_ptr<const core::Strata> PkaSampler::Stratify(
+    const KernelTrace& trace) const {
   if (trace.Empty()) throw std::invalid_argument("PkaSampler: empty trace");
   const size_t n = trace.NumInvocations();
   constexpr size_t kDim = profiler::PkaFeatures::kDim;
@@ -50,21 +60,29 @@ core::SamplingPlan PkaSampler::BuildPlan(const KernelTrace& trace,
   }
   const uint32_t k_best = ElbowK(inertias, config_.elbow_threshold);
   const core::KmeansResult& clustering = sweeps[k_best - 1];
-  telemetry::Count("baselines.pka.plans");
   telemetry::Record("baselines.pka.chosen_k", static_cast<double>(k_best));
 
-  // One representative per cluster, weighted by cluster size.
-  std::vector<std::vector<uint32_t>> clusters(k_best);
+  auto strata = std::make_unique<PkaStrata>();
+  strata->clusters.resize(k_best);
   for (size_t i = 0; i < n; ++i)
-    clusters[clustering.assignment[i]].push_back(static_cast<uint32_t>(i));
+    strata->clusters[clustering.assignment[i]].push_back(
+        static_cast<uint32_t>(i));
+  std::erase_if(strata->clusters,
+                [](const auto& members) { return members.empty(); });
+  return strata;
+}
 
+core::SamplingPlan PkaSampler::Draw(const core::Strata& strata,
+                                    uint64_t seed) const {
+  const PkaStrata& pka = core::StrataAs<PkaStrata>(strata, "PkaSampler");
+  telemetry::Count("baselines.pka.plans");
+
+  // One representative per cluster, weighted by cluster size.
   core::SamplingPlan plan;
   plan.method = Name();
-  plan.num_clusters = 0;
+  plan.num_clusters = pka.clusters.size();
   Rng rng(DeriveSeed(seed, 0x504B41ULL));
-  for (const auto& members : clusters) {
-    if (members.empty()) continue;
-    ++plan.num_clusters;
+  for (const auto& members : pka.clusters) {
     const uint32_t rep =
         config_.random_representative
             ? members[rng.NextBounded(members.size())]

@@ -18,8 +18,10 @@ class RandomSampler : public core::Sampler {
   explicit RandomSampler(double probability);
 
   std::string Name() const override;
-  core::SamplingPlan BuildPlan(const KernelTrace& trace,
-                               uint64_t seed) const override;
+  std::unique_ptr<const core::Strata> Stratify(
+      const KernelTrace& trace) const override;
+  core::SamplingPlan Draw(const core::Strata& strata,
+                          uint64_t seed) const override;
 
  private:
   double probability_;

@@ -103,24 +103,31 @@ uint32_t DominantCtaRep(const KernelTrace& trace,
   return members.front();
 }
 
+/// Sieve's strata in emission order: one per stable kernel name (or per
+/// name when KDE is off), one per KDE mode otherwise.
+struct SieveStrata final : core::Strata {
+  struct Stratum {
+    std::vector<uint32_t> members;
+    /// The published representative (DominantCtaRep); 0 and unused when
+    /// the sampler draws random representatives.
+    uint32_t dominant_rep = 0;
+  };
+  std::vector<Stratum> strata;
+};
+
 }  // namespace
 
-core::SamplingPlan SieveSampler::BuildPlan(const KernelTrace& trace,
-                                           uint64_t seed) const {
+std::unique_ptr<const core::Strata> SieveSampler::Stratify(
+    const KernelTrace& trace) const {
   if (trace.Empty()) throw std::invalid_argument("SieveSampler: empty trace");
 
-  core::SamplingPlan plan;
-  plan.method = Name();
-  Rng rng(DeriveSeed(seed, 0x534945564UL));
-
-  auto emit = [&](const std::vector<uint32_t>& members) {
+  auto out = std::make_unique<SieveStrata>();
+  auto emit = [&](std::vector<uint32_t> members) {
     if (members.empty()) return;
-    ++plan.num_clusters;
-    const uint32_t rep =
-        config_.random_representative
-            ? members[rng.NextBounded(members.size())]
-            : DominantCtaRep(trace, members);
-    plan.entries.push_back({rep, static_cast<double>(members.size())});
+    const uint32_t rep = config_.random_representative
+                             ? 0
+                             : DominantCtaRep(trace, members);
+    out->strata.push_back({std::move(members), rep});
   };
 
   for (const auto& group : trace.GroupByKernel()) {
@@ -139,8 +146,27 @@ core::SamplingPlan SieveSampler::BuildPlan(const KernelTrace& trace,
       // mode; highly variable kernels (stratum 3) get a finer-grained KDE.
       const size_t bins = cov > config_.variable_cov ? config_.kde_bins * 2
                                                      : config_.kde_bins;
-      for (const auto& mode : KdeModes(trace, group, bins)) emit(mode);
+      for (auto& mode : KdeModes(trace, group, bins)) emit(std::move(mode));
     }
+  }
+  return out;
+}
+
+core::SamplingPlan SieveSampler::Draw(const core::Strata& strata,
+                                      uint64_t seed) const {
+  const SieveStrata& sieve =
+      core::StrataAs<SieveStrata>(strata, "SieveSampler");
+  core::SamplingPlan plan;
+  plan.method = Name();
+  plan.num_clusters = sieve.strata.size();
+  Rng rng(DeriveSeed(seed, 0x534945564UL));
+  for (const SieveStrata::Stratum& stratum : sieve.strata) {
+    const uint32_t rep =
+        config_.random_representative
+            ? stratum.members[rng.NextBounded(stratum.members.size())]
+            : stratum.dominant_rep;
+    plan.entries.push_back(
+        {rep, static_cast<double>(stratum.members.size())});
   }
   telemetry::Count("baselines.sieve.plans");
   telemetry::Record("baselines.sieve.strata_per_plan",

@@ -42,8 +42,10 @@ class SieveSampler : public core::Sampler {
   bool Deterministic() const override {
     return !config_.random_representative;
   }
-  core::SamplingPlan BuildPlan(const KernelTrace& trace,
-                               uint64_t seed) const override;
+  std::unique_ptr<const core::Strata> Stratify(
+      const KernelTrace& trace) const override;
+  core::SamplingPlan Draw(const core::Strata& strata,
+                          uint64_t seed) const override;
 
  private:
   SieveConfig config_;

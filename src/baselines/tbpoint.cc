@@ -22,15 +22,6 @@ namespace {
 
 constexpr size_t kDim = profiler::PkaFeatures::kDim;
 
-double SqDist(const std::vector<double>& features, size_t a, size_t b) {
-  double sum = 0.0;
-  for (size_t j = 0; j < kDim; ++j) {
-    const double d = features[a * kDim + j] - features[b * kDim + j];
-    sum += d * d;
-  }
-  return sum;
-}
-
 /// Average-linkage agglomeration via centroid merging (O(n^2 log n)
 /// with a simple nearest-pair scan; n is capped by the caller).
 struct Agglomerator {
@@ -65,9 +56,10 @@ struct Agglomerator {
 
 }  // namespace
 
-core::SamplingPlan TbPointSampler::BuildPlan(const KernelTrace& trace,
-                                             uint64_t seed) const {
-  (void)seed;  // fully deterministic
+std::unique_ptr<const core::Strata> TbPointSampler::Stratify(
+    const KernelTrace& trace) const {
+  // Fully deterministic: the whole plan is built here and Draw hands it
+  // out.
   if (trace.Empty())
     throw std::invalid_argument("TbPointSampler: empty trace");
   const size_t n = trace.NumInvocations();
@@ -143,7 +135,8 @@ core::SamplingPlan TbPointSampler::BuildPlan(const KernelTrace& trace,
 
   // Representative: the member nearest the cluster centroid, weighted by
   // the cluster's size.
-  core::SamplingPlan plan;
+  auto strata = std::make_unique<core::FixedPlanStrata>();
+  core::SamplingPlan& plan = strata->plan;
   plan.method = Name();
   for (const auto& cluster : agg.clusters) {
     if (!cluster.alive || cluster.members.empty()) continue;
@@ -165,6 +158,13 @@ core::SamplingPlan TbPointSampler::BuildPlan(const KernelTrace& trace,
     plan.entries.push_back(
         {rep, static_cast<double>(cluster.members.size())});
   }
+  return strata;
+}
+
+core::SamplingPlan TbPointSampler::Draw(const core::Strata& strata,
+                                        uint64_t /*seed*/) const {
+  const core::SamplingPlan& plan =
+      core::StrataAs<core::FixedPlanStrata>(strata, "TbPointSampler").plan;
   telemetry::Count("baselines.tbpoint.plans");
   telemetry::Record("baselines.tbpoint.clusters_per_plan",
                     static_cast<double>(plan.num_clusters));

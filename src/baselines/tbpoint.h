@@ -36,8 +36,10 @@ class TbPointSampler : public core::Sampler {
 
   std::string Name() const override { return "TBPoint"; }
   bool Deterministic() const override { return true; }
-  core::SamplingPlan BuildPlan(const KernelTrace& trace,
-                               uint64_t seed) const override;
+  std::unique_ptr<const core::Strata> Stratify(
+      const KernelTrace& trace) const override;
+  core::SamplingPlan Draw(const core::Strata& strata,
+                          uint64_t seed) const override;
 
  private:
   TbPointConfig config_;

@@ -2,11 +2,11 @@
 
 #include <stdexcept>
 
+#include "common/parallel.h"
 #include "common/resource.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/trace_events.h"
-#include "core/kkt.h"
 
 namespace stemroot::core {
 
@@ -16,24 +16,31 @@ StemClustering BuildStemClusters(const KernelTrace& trace,
     throw std::invalid_argument("BuildStemClusters: empty trace");
 
   // This is the "cluster" stage of the pipeline's telemetry.
-  StemClustering out;
   telemetry::Span cluster_span("cluster");
   const auto groups = trace.GroupByKernel();
-  for (uint32_t kernel_id = 0; kernel_id < groups.size(); ++kernel_id) {
-    const auto& group = groups[kernel_id];
-    if (group.empty()) continue;
-    std::vector<double> durations;
-    durations.reserve(group.size());
-    for (uint32_t idx : group) {
-      const double d = trace.At(idx).duration_us;
-      if (d <= 0.0)
-        throw std::invalid_argument(
-            "BuildStemClusters: trace has unprofiled (non-positive) "
-            "durations");
-      durations.push_back(d);
-    }
-    auto kernel_clusters = RootCluster1D(durations, group, config);
-    for (auto& c : kernel_clusters) {
+  // Kernel groups are independent ROOT problems: they fan out over the
+  // pool and land in kernel-id slots, so the merge below sees the exact
+  // sequence the serial loop produced.
+  std::vector<std::vector<RootCluster>> per_kernel =
+      ParallelMap(groups.size(), [&](size_t kernel_id) {
+        const auto& group = groups[kernel_id];
+        if (group.empty()) return std::vector<RootCluster>{};
+        std::vector<double> durations;
+        durations.reserve(group.size());
+        for (uint32_t idx : group) {
+          const double d = trace.At(idx).duration_us;
+          if (d <= 0.0)
+            throw std::invalid_argument(
+                "BuildStemClusters: trace has unprofiled (non-positive) "
+                "durations");
+          durations.push_back(d);
+        }
+        return RootCluster1D(durations, group, config);
+      });
+
+  StemClustering out;
+  for (uint32_t kernel_id = 0; kernel_id < per_kernel.size(); ++kernel_id) {
+    for (RootCluster& c : per_kernel[kernel_id]) {
       out.clusters.push_back(std::move(c));
       out.kernel_ids.push_back(kernel_id);
     }
@@ -41,9 +48,9 @@ StemClustering BuildStemClusters(const KernelTrace& trace,
   trace_events::CounterValue("stem.clusters",
                              static_cast<double>(out.clusters.size()));
   if (resource::AccountingEnabled()) {
-    // Transient per-call state: the clustering is a pure function of the
-    // trace, so this byte count is deterministic and max() over
-    // concurrent reps is schedule-invariant.
+    // The clustering is a pure function of the trace, so this byte count
+    // is deterministic and max() over concurrent calls is
+    // schedule-invariant.
     uint64_t bytes = out.kernel_ids.size() * sizeof(uint32_t);
     for (const RootCluster& c : out.clusters)
       bytes += sizeof(RootCluster) + c.members.size() * sizeof(uint32_t);
@@ -57,19 +64,28 @@ StemRootSampler::StemRootSampler(StemRootConfig config)
   config_.root.Validate();
 }
 
-SamplingPlan StemRootSampler::BuildPlan(const KernelTrace& trace,
-                                        uint64_t seed) const {
-  const std::vector<RootCluster> clusters =
-      BuildStemClusters(trace, config_.root).clusters;
-  telemetry::Count("core.stem.plans");
-  telemetry::Record("core.stem.clusters_per_plan",
-                    static_cast<double>(clusters.size()));
+std::unique_ptr<const Strata> StemRootSampler::Stratify(
+    const KernelTrace& trace) const {
+  auto strata = std::make_unique<StemStrata>();
+  strata->clustering = BuildStemClusters(trace, config_.root);
 
   // Step 3: joint sample sizing across every final cluster (Eq. 6).
   std::vector<ClusterStats> stats;
-  stats.reserve(clusters.size());
-  for (const RootCluster& c : clusters) stats.push_back(c.stats);
-  const KktSolution solution = SolveKkt(stats, config_.root.stem);
+  stats.reserve(strata->clustering.clusters.size());
+  for (const RootCluster& c : strata->clustering.clusters)
+    stats.push_back(c.stats);
+  strata->solution = SolveKkt(stats, config_.root.stem);
+  return strata;
+}
+
+SamplingPlan StemRootSampler::Draw(const Strata& strata,
+                                   uint64_t seed) const {
+  const StemStrata& stem = StrataAs<StemStrata>(strata, "StemRootSampler");
+  const std::vector<RootCluster>& clusters = stem.clustering.clusters;
+  const KktSolution& solution = stem.solution;
+  telemetry::Count("core.stem.plans");
+  telemetry::Record("core.stem.clusters_per_plan",
+                    static_cast<double>(clusters.size()));
   for (uint64_t m : solution.sample_sizes)
     telemetry::Record("core.stem.samples_per_cluster",
                       static_cast<double>(m));

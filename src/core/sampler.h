@@ -8,21 +8,46 @@
 /// peaks of the same kernel) -> random sampling with replacement inside
 /// each cluster (i.i.d. for the CLT, Sec. 3.5), weighting each draw by
 /// N_i / m_i.
+///
+/// Every sampler runs in two phases: Stratify (everything that depends
+/// only on the trace and the sampler's config -- for STEM the first three
+/// steps above) and Draw (the per-seed step). Repeated callers stratify
+/// once per trace and draw once per rep.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <typeinfo>
+#include <vector>
 
+#include "core/kkt.h"
 #include "core/plan.h"
 #include "core/root.h"
 #include "trace/trace.h"
 
 namespace stemroot::core {
 
+/// The seed-independent result of Sampler::Stratify. Each sampler derives
+/// its own type; callers hold it opaquely and hand it back to Draw of a
+/// sampler of the same type. Immutable once built, so concurrent Draws
+/// may share one.
+class Strata {
+ public:
+  virtual ~Strata() = default;
+};
+
+/// Strata of a sampler whose whole plan is seed-independent (first-
+/// chronological or centroid representatives): Draw returns this plan.
+struct FixedPlanStrata final : Strata {
+  SamplingPlan plan;
+};
+
 /// Abstract kernel-level sampler. Implementations: StemRootSampler here,
-/// plus the baselines in src/baselines (PKA, Sieve, Photon, Random).
+/// plus the baselines in src/baselines (PKA, Sieve, Photon, Random,
+/// TBPoint).
 class Sampler {
  public:
   virtual ~Sampler() = default;
@@ -30,16 +55,37 @@ class Sampler {
   /// Display name used in reports ("STEM", "PKA", ...).
   virtual std::string Name() const = 0;
 
-  /// True when BuildPlan ignores the seed (first-chronological selection);
+  /// True when Draw ignores the seed (first-chronological selection);
   /// evaluators then skip repeated runs.
   virtual bool Deterministic() const { return false; }
 
-  /// Build a sampling plan for a profiled trace (durations must be
-  /// filled). `seed` feeds any randomized choices so repeated experiment
-  /// runs (the paper averages 10) differ.
-  virtual SamplingPlan BuildPlan(const KernelTrace& trace,
-                                 uint64_t seed) const = 0;
+  /// Phase 1: a pure function of the profiled trace (durations must be
+  /// filled) and the sampler's config. Throws std::invalid_argument on an
+  /// empty or unusable trace.
+  virtual std::unique_ptr<const Strata> Stratify(
+      const KernelTrace& trace) const = 0;
+
+  /// Phase 2: one plan from `strata`, which must come from Stratify of a
+  /// sampler of this type (std::invalid_argument otherwise). `seed` feeds
+  /// every randomized choice so repeated experiment runs (the paper
+  /// averages 10) differ. Const-thread-safe in every in-tree sampler.
+  virtual SamplingPlan Draw(const Strata& strata, uint64_t seed) const = 0;
+
+  /// The one plan-building path: Draw(*Stratify(trace), seed).
+  SamplingPlan BuildPlan(const KernelTrace& trace, uint64_t seed) const {
+    return Draw(*Stratify(trace), seed);
+  }
 };
+
+/// Checked downcast for Draw implementations: `strata` must be exactly a
+/// T, else std::invalid_argument naming `who`.
+template <typename T>
+const T& StrataAs(const Strata& strata, const char* who) {
+  if (typeid(strata) != typeid(T))
+    throw std::invalid_argument(std::string(who) +
+                                ": strata built by another sampler type");
+  return static_cast<const T&>(strata);
+}
 
 /// STEM+ROOT configuration.
 struct StemRootConfig {
@@ -47,7 +93,7 @@ struct StemRootConfig {
 };
 
 /// The clustering front half of STEM+ROOT (steps 1+2: group by kernel
-/// name, ROOT-cluster each group), shared by StemRootSampler::BuildPlan
+/// name, ROOT-cluster each group), shared by StemRootSampler::Stratify
 /// and the error-budget audit (eval/audit.h) so both always see the same
 /// partition.
 struct StemClustering {
@@ -58,10 +104,20 @@ struct StemClustering {
 };
 
 /// Deterministic for a given (trace, config): ROOT clustering draws no
-/// randomness. Throws std::invalid_argument on an empty or unprofiled
-/// trace. Runs inside the "cluster" telemetry span.
+/// randomness. Kernel groups are clustered in parallel over NumThreads()
+/// lanes and merged in kernel-id order, so the clusters, the telemetry
+/// counters and the logical "root" peak are identical at any thread
+/// count. Throws std::invalid_argument on an empty or unprofiled trace.
+/// Runs inside the "cluster" telemetry span.
 StemClustering BuildStemClusters(const KernelTrace& trace,
                                  const RootConfig& config);
+
+/// STEM's strata: steps 1-3, the ROOT partition plus the joint KKT sizing
+/// over every final cluster.
+struct StemStrata final : Strata {
+  StemClustering clustering;
+  KktSolution solution;  ///< index-aligned with clustering.clusters
+};
 
 /// The proposed sampler.
 class StemRootSampler : public Sampler {
@@ -69,8 +125,9 @@ class StemRootSampler : public Sampler {
   explicit StemRootSampler(StemRootConfig config = {});
 
   std::string Name() const override { return "STEM"; }
-  SamplingPlan BuildPlan(const KernelTrace& trace,
-                         uint64_t seed) const override;
+  std::unique_ptr<const Strata> Stratify(
+      const KernelTrace& trace) const override;
+  SamplingPlan Draw(const Strata& strata, uint64_t seed) const override;
 
   const StemRootConfig& Config() const { return config_; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
+#include <memory>
 #include <stdexcept>
 
 #include "common/json.h"
@@ -105,9 +106,12 @@ WorkloadAudit AuditWorkload(const KernelTrace& trace,
   }
   const double true_workload_us = trace.TotalDurationUs();
 
-  // One seeded plan per trial; trial r uses base_seed + r so audit trial r
-  // reproduces evaluation rep r. Index-ordered merge keeps the result
-  // invariant to the thread count.
+  // The audited sampler stratifies once; every trial is one seeded draw
+  // from those strata. Trial r uses base_seed + r, the seed
+  // EvaluateRepeated gives rep r, so audit trial r reproduces evaluation
+  // rep r. Index-ordered merge keeps the result invariant to the thread
+  // count.
+  const std::unique_ptr<const core::Strata> strata = sampler.Stratify(trace);
   const std::vector<Trial> results =
       ParallelMap(trials, [&](size_t r) {
         trace_events::Scope trial_scope("audit.trial");
@@ -115,7 +119,7 @@ WorkloadAudit AuditWorkload(const KernelTrace& trace,
         t.estimate_us.assign(num_clusters, 0.0);
         t.draws.assign(num_clusters, 0);
         const core::SamplingPlan plan =
-            sampler.BuildPlan(trace, base_seed + static_cast<uint64_t>(r));
+            sampler.Draw(*strata, base_seed + static_cast<uint64_t>(r));
         for (const core::SampleEntry& entry : plan.entries) {
           const double contrib =
               entry.weight * trace.At(entry.invocation).duration_us;

@@ -12,9 +12,10 @@
 ///     sampler actually placed there,
 ///   - the predicted relative error at m_i (Eq. 2),
 ///   - the realized signed error of the cluster-total estimate, over
-///     `trials` independently seeded plans (trial r seeds BuildPlan with
-///     base_seed + r -- the same stream EvaluateRepeated uses, so audit
-///     trial r reproduces evaluation rep r),
+///     `trials` independently seeded plans (the sampler stratifies once
+///     and trial r draws with base_seed + r -- the same stream
+///     EvaluateRepeated uses, so audit trial r reproduces evaluation
+///     rep r),
 ///   - the cluster's share of the total variance budget (the KKT view:
 ///     N_i^2 sigma_i^2 / m_i over the sum), and
 ///   - a CI-coverage summary: the fraction of trials whose realized
@@ -105,7 +106,7 @@ struct AuditReport {
   std::string ToJson() const;
 };
 
-/// Audit one profiled trace. `base_seed` seeds trial r's BuildPlan with
+/// Audit one profiled trace. `base_seed` seeds trial r's Draw with
 /// base_seed + r; pass the Pipeline-derived sampler stream to reproduce
 /// evaluation reps. Trials run in parallel over NumThreads() lanes and
 /// merge in trial order, so the result is thread-count invariant. Runs

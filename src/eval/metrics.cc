@@ -1,6 +1,7 @@
 #include "eval/metrics.h"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -67,16 +68,19 @@ EvalResult EvaluateRepeated(const core::Sampler& sampler,
   telemetry::Count("eval.evaluations");
   telemetry::Count("eval.plans_built", runs);
 
-  // Repetitions are independent by construction (rep r seeds BuildPlan
-  // with base_seed + r), so they fan out over threads; per-rep results
-  // land in rep order and the averages below see the exact sequence the
-  // serial loop produced.
+  // Stratification depends only on the trace, so it runs once; the reps
+  // differ only in their draws (rep r seeds Draw with base_seed + r). The
+  // draws fan out over threads, per-rep results land in rep order, and
+  // the averages below see the exact sequence the serial loop produced.
+  const std::unique_ptr<const core::Strata> strata = [&] {
+    telemetry::Span span("sample");
+    return sampler.Stratify(trace);
+  }();
   const std::vector<EvalResult> per_rep =
       ParallelMap(runs, [&](size_t r) {
         const core::SamplingPlan plan = [&] {
           telemetry::Span span("sample");
-          return sampler.BuildPlan(trace,
-                                   base_seed + static_cast<uint64_t>(r));
+          return sampler.Draw(*strata, base_seed + static_cast<uint64_t>(r));
         }();
         // Each rep's plan bytes depend only on (trace, base_seed + r);
         // AccountPeak's max over the rep set is schedule-invariant, so

@@ -42,13 +42,15 @@ EvalResult EvaluatePlanOnDurations(const core::SamplingPlan& plan,
                                    std::span<const double> durations_us,
                                    const std::string& workload);
 
-/// Run a sampler `reps` times with distinct seeds (1 run if the sampler is
-/// deterministic) and average per the paper's conventions: harmonic-mean
-/// speedup, arithmetic-mean error. Sample/cluster counts are from the
-/// first run. Repetitions execute in parallel over NumThreads() lanes;
-/// rep r always uses seed base_seed + r and results are accumulated in rep
-/// order, so the output is identical at any thread count. Requires
-/// `sampler.BuildPlan` to be const-thread-safe (all in-tree samplers are).
+/// Stratify the trace once, draw `reps` plans from it with distinct seeds
+/// (1 if the sampler is deterministic) and average per the paper's
+/// conventions: harmonic-mean speedup, arithmetic-mean error.
+/// Sample/cluster counts are from the first run. Draws execute in parallel
+/// over NumThreads() lanes; rep r always uses seed base_seed + r and
+/// results are accumulated in rep order, so the output is identical at
+/// any thread count and rep r equals sampler.BuildPlan(trace,
+/// base_seed + r). Requires `sampler.Draw` to be const-thread-safe (all
+/// in-tree samplers are).
 EvalResult EvaluateRepeated(const core::Sampler& sampler,
                             const KernelTrace& trace, uint32_t reps,
                             uint64_t base_seed);

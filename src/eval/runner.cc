@@ -53,20 +53,6 @@ std::vector<std::string> SuiteResults::Methods() const {
   return method_order_;
 }
 
-// Definition of the deprecated shim; the declaration carries the
-// [[deprecated]] attribute, so silence the self-reference here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-KernelTrace MakeProfiledWorkload(workloads::SuiteId suite,
-                                 const std::string& name,
-                                 const hw::HardwareModel& gpu, uint64_t seed,
-                                 double size_scale) {
-  return Pipeline::GenerateProfiled(suite, name, gpu,
-                                    {.seed = seed, .size_scale = size_scale})
-      .Trace();
-}
-#pragma GCC diagnostic pop
-
 SuiteResults RunSuite(const SuiteRunConfig& config,
                       const hw::HardwareModel& gpu,
                       std::span<const core::Sampler* const> samplers) {

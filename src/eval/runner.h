@@ -66,8 +66,8 @@ struct SuiteResults {
 };
 
 /// Run every sampler over every workload of the suite on the given GPU.
-/// `samplers` entries must outlive the call and their BuildPlan must be
-/// const-thread-safe (all in-tree samplers are).
+/// `samplers` entries must outlive the call and their Stratify and Draw
+/// must be const-thread-safe (all in-tree samplers are).
 ///
 /// The (workload x sampler) grid is evaluated in parallel over NumThreads()
 /// lanes (common/parallel.h): each workload task generates and profiles its
@@ -81,20 +81,5 @@ struct SuiteResults {
 SuiteResults RunSuite(const SuiteRunConfig& config,
                       const hw::HardwareModel& gpu,
                       std::span<const core::Sampler* const> samplers);
-
-/// Convenience: generate + profile one workload.
-///
-/// Deprecated: this free function bypasses the Pipeline facade (it drops
-/// the provenance the facade records and invites positional-argument
-/// drift). Use eval::Pipeline::GenerateProfiled with a Pipeline::Spec and
-/// keep the pipeline object -- its Trace() accessor is the same trace
-/// without a copy. Kept (and pinned by tests) only so that existing
-/// callers keep their bit-exact behavior until they migrate.
-[[deprecated(
-    "use eval::Pipeline::GenerateProfiled(Pipeline::Spec, gpu)")]]
-KernelTrace MakeProfiledWorkload(workloads::SuiteId suite,
-                                 const std::string& name,
-                                 const hw::HardwareModel& gpu, uint64_t seed,
-                                 double size_scale = 1.0);
 
 }  // namespace stemroot::eval

@@ -187,6 +187,15 @@ void AppendStatus(ObjectWriter& w, const SessionStatus& status,
 
 }  // namespace
 
+BrokerResult OversizedLineError() {
+  ObjectWriter w;
+  w.Bool("ok", false);
+  w.Str("error", "protocol: request line exceeds " +
+                     std::to_string(kMaxRequestLineBytes) + " bytes");
+  w.Str("code", "line_too_long");
+  return {w.Finish(), false, false};
+}
+
 BrokerResult SessionBroker::HandleLine(const std::string& line) {
   json::Value req;
   std::string parse_error;
@@ -312,7 +321,8 @@ BrokerResult SessionBroker::HandleLine(const std::string& line) {
       for (const auto& [category, bytes] : stats.mem_logical) {
         if (logical.size() > 1) logical += ",";
         json::AppendString(logical, category);
-        logical += ":" + std::to_string(bytes);
+        logical += ':';
+        logical += std::to_string(bytes);
       }
       logical += "}";
       mw.Raw("logical", logical);

@@ -45,6 +45,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "service/service.h"
@@ -57,6 +58,16 @@ struct BrokerResult {
   bool ok = false;        ///< mirrors the response's "ok"
   bool shutdown = false;  ///< the line was a successful shutdown request
 };
+
+/// Longest request line the server reads, excluding the '\n'. Requests
+/// are small JSON objects; a longer line gets OversizedLineError and the
+/// connection is closed, so a peer that never sends a newline cannot grow
+/// the server's read buffer without bound.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
+/// The response to a request line over kMaxRequestLineBytes:
+/// {"ok":false,"error":"protocol: ...","code":"line_too_long"}.
+BrokerResult OversizedLineError();
 
 /// Stateless translator from protocol lines to Service calls. Thread
 /// compatibility follows Service: concurrent HandleLine calls are safe.

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <istream>
 #include <mutex>
 #include <optional>
@@ -67,21 +68,35 @@ bool SendLine(int fd, const std::string& data) {
   return true;
 }
 
+/// The client reads the responses of a server it chose to connect to, so
+/// only the server side caps line length.
+constexpr size_t kNoLineLimit = std::numeric_limits<size_t>::max();
+
+enum class ReadStatus { kLine, kClosed, kTooLong };
+
 /// Read one '\n'-terminated line into `line` using `buffer` as carry-over
-/// between calls. Returns false on EOF/error with no complete line.
-bool ReadLine(int fd, std::string& buffer, std::string& line) {
+/// between calls. Each byte is searched for '\n' once: the search resumes
+/// at the bytes the last read appended. kTooLong once the line exceeds
+/// `max_bytes` without its newline, so `buffer` stays within `max_bytes`
+/// plus one read; kClosed on EOF/error with no complete line.
+ReadStatus ReadLine(int fd, std::string& buffer, std::string& line,
+                    size_t max_bytes) {
+  size_t scanned = 0;
   while (true) {
-    const size_t pos = buffer.find('\n');
+    const size_t pos = buffer.find('\n', scanned);
     if (pos != std::string::npos) {
-      line = buffer.substr(0, pos);
+      if (pos > max_bytes) return ReadStatus::kTooLong;
+      line.assign(buffer, 0, pos);
       buffer.erase(0, pos + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
+      return ReadStatus::kLine;
     }
+    scanned = buffer.size();
+    if (scanned > max_bytes) return ReadStatus::kTooLong;
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
+    if (n <= 0) return ReadStatus::kClosed;
     buffer.append(chunk, static_cast<size_t>(n));
   }
 }
@@ -184,7 +199,22 @@ void HandleConnection(int fd, SessionBroker& broker,
                   {{"fd", static_cast<uint64_t>(fd)}});
   std::string buffer;
   std::string line;
-  while (ReadLine(fd, buffer, line)) {
+  while (true) {
+    const ReadStatus status =
+        ReadLine(fd, buffer, line, kMaxRequestLineBytes);
+    if (status == ReadStatus::kClosed) break;
+    if (status == ReadStatus::kTooLong) {
+      // The rest of the line cannot be told apart from the next request,
+      // so the connection ends after the error response.
+      if (journal::Enabled())
+        journal::Emit(journal::Severity::kWarn, "request.rejected",
+                      {{"fd", static_cast<uint64_t>(fd)},
+                       {"reason", "line_too_long"},
+                       {"limit_bytes",
+                        static_cast<uint64_t>(kMaxRequestLineBytes)}});
+      (void)SendLine(fd, OversizedLineError().response);
+      break;
+    }
     if (line.empty()) continue;
     const BrokerResult result = broker.HandleLine(line);
     if (!result.ok && journal::Enabled())
@@ -325,7 +355,7 @@ int RunClient(const ClientOptions& options, std::istream& script,
           std::strerror(err) + ")");
     }
     errno = 0;  // lets the failure path tell clean EOF from a read error
-    if (!ReadLine(fd, buffer, response)) {
+    if (ReadLine(fd, buffer, response, kNoLineLimit) != ReadStatus::kLine) {
       const int err = errno;
       ::close(fd);
       // errno 0 here means a clean EOF: the server hung up, nothing
@@ -370,7 +400,7 @@ std::string RequestOnce(const std::string& socket_path,
   std::string buffer;
   std::string response;
   errno = 0;
-  if (!ReadLine(fd, buffer, response)) {
+  if (ReadLine(fd, buffer, response, kNoLineLimit) != ReadStatus::kLine) {
     const int err = errno;
     ::close(fd);
     throw std::runtime_error(

@@ -137,7 +137,6 @@ void FillInfo(ShardedRunInfo* info, const std::vector<Lane>& lanes,
 /// cycles it cost (pacing only).
 void WarmLane(Lane& lane, uint32_t idx, const TraceSimOptions& options,
               const std::vector<int64_t>& prev_same_kernel,
-              const KernelTrace& trace,
               const std::function<double(Lane&, uint32_t)>& replay) {
   if (options.flush_l2_between_kernels) {
     lane.sim->FlushL2();
@@ -216,7 +215,7 @@ SampledSimResult ShardedSimulateSampled(const KernelTrace& trace,
   const uint64_t rounds =
       DriveLanes(lanes, options.shard, [&](Lane& lane) {
         const uint32_t idx = lane.work[lane.next++];
-        WarmLane(lane, idx, options, prev_same_kernel, trace, replay);
+        WarmLane(lane, idx, options, prev_same_kernel, replay);
         const KernelSimResult one =
             lane.sim->SimulateKernel(trace.At(idx), options.seed);
         lane.cycles.emplace_back(idx, one.cycles);
@@ -265,7 +264,7 @@ CombinedSimResult ShardedSimulateSampledIntra(
   const uint64_t rounds =
       DriveLanes(lanes, trace_options.shard, [&](Lane& lane) {
         const uint32_t idx = lane.work[lane.next++];
-        WarmLane(lane, idx, trace_options, prev_same_kernel, trace, replay);
+        WarmLane(lane, idx, trace_options, prev_same_kernel, replay);
         const IntraKernelResult one = SimulateKernelIntra(
             *lane.sim, trace.At(idx), trace_options.seed, intra_options);
         lane.cycles.emplace_back(idx, one.estimated_cycles);

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "baselines/registry.h"
+#include "common/parallel.h"
+#include "common/resource.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
+#include "core/sampler_registry.h"
+#include "eval/pipeline.h"
+#include "hw/gpu_spec.h"
 #include "hw/hardware_model.h"
 #include "workloads/casio.h"
 #include "workloads/rodinia.h"
@@ -119,6 +130,184 @@ TEST(SamplingPlanTest, ValidationCatchesBadEntries) {
   plan.entries = {{2, 1.0}};
   EXPECT_THROW(plan.EstimateTotalUs(durations), std::out_of_range);
   EXPECT_THROW(plan.SampledCostUs(durations), std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// The two-phase contract: Stratify once, Draw per seed.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bytes of every plan field, seeds 0..9 in order.
+class PlanHash {
+ public:
+  void Add(const SamplingPlan& plan) {
+    Bytes(plan.method.data(), plan.method.size());
+    Value<uint64_t>(plan.num_clusters);
+    Value(plan.theoretical_error);
+    Value<uint64_t>(plan.entries.size());
+    for (const SampleEntry& e : plan.entries) {
+      Value(e.invocation);
+      Value(e.weight);
+    }
+  }
+  uint64_t Get() const { return h_; }
+
+ private:
+  void Bytes(const void* data, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ULL;
+    }
+  }
+  template <typename T>
+  void Value(T v) {
+    Bytes(&v, sizeof(v));
+  }
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+struct SplitCase {
+  const char* workload;
+  const char* label;  ///< registry name, or name+variant
+  uint64_t hash;      ///< BuildPlan at seeds 0..9 before the split
+};
+
+/// Fingerprints of the single-phase BuildPlan, recorded before samplers
+/// were split into Stratify and Draw: every registered sampler with its
+/// default parameters, plus the seed-dependent variants (random
+/// representatives, a denser random sampler).
+constexpr SplitCase kPreSplitPlans[] = {
+    {"bert_infer", "photon", 0x1374a6c0d5896cffULL},
+    {"bert_infer", "pka", 0xa5c71d9eee618cadULL},
+    {"bert_infer", "random", 0x8afa2c965d37670cULL},
+    {"bert_infer", "sieve", 0x8af58f74d63b5e63ULL},
+    {"bert_infer", "stem", 0x012216d190276871ULL},
+    {"bert_infer", "tbpoint", 0xe8153c9d010f1467ULL},
+    {"bert_infer", "pka+random_rep", 0xdea6b5e3b748999cULL},
+    {"bert_infer", "sieve+random_rep", 0x926d19b8a12cdfacULL},
+    {"bert_infer", "random+p0.05", 0xe3cb8d67b605a625ULL},
+    {"gaussian", "photon", 0x2d9af6e28314447fULL},
+    {"gaussian", "pka", 0xa5c52263ac57d973ULL},
+    {"gaussian", "random", 0xbd05a154e21e989aULL},
+    {"gaussian", "sieve", 0x992bb730031b521fULL},
+    {"gaussian", "stem", 0xc6045158e8ca0aadULL},
+    {"gaussian", "tbpoint", 0xc75636b9978ca69dULL},
+    {"gaussian", "pka+random_rep", 0xb1d51235cd038be9ULL},
+    {"gaussian", "sieve+random_rep", 0x13f90ff1b3bc09c8ULL},
+    {"gaussian", "random+p0.05", 0x43584b63383efa53ULL},
+};
+
+std::unique_ptr<Sampler> MakeCaseSampler(const std::string& label) {
+  baselines::EnsureBuiltinSamplers();
+  const SamplerRegistry& registry = SamplerRegistry::Global();
+  if (label == "pka+random_rep" || label == "sieve+random_rep")
+    return registry.Create(label.substr(0, label.find('+')),
+                           SamplerParams().Set("random_representative", true));
+  if (label == "random+p0.05")
+    return registry.Create("random", SamplerParams().Set("probability", 0.05));
+  return registry.Create(label);
+}
+
+KernelTrace SplitTrace(const std::string& workload) {
+  const bool casio = workload == "bert_infer";
+  return eval::Pipeline::GenerateProfiled(
+             casio ? workloads::SuiteId::kCasio : workloads::SuiteId::kRodinia,
+             workload, hw::GpuSpec::Rtx2080(),
+             {.seed = 7, .size_scale = casio ? 0.02 : 0.2})
+      .Trace();
+}
+
+TEST(SamplerSplitTest, DrawFromOneStrataMatchesPreSplitPlans) {
+  // Every registered sampler is pinned on both traces.
+  baselines::EnsureBuiltinSamplers();
+  for (const std::string& name : SamplerRegistry::Global().Names()) {
+    size_t pinned = 0;
+    for (const SplitCase& c : kPreSplitPlans) pinned += name == c.label;
+    EXPECT_EQ(pinned, 2u) << name;
+  }
+  for (const char* workload : {"bert_infer", "gaussian"}) {
+    const KernelTrace trace = SplitTrace(workload);
+    for (const SplitCase& c : kPreSplitPlans) {
+      if (std::strcmp(c.workload, workload) != 0) continue;
+      const auto sampler = MakeCaseSampler(c.label);
+      const std::unique_ptr<const Strata> strata = sampler->Stratify(trace);
+      PlanHash drawn;
+      for (uint64_t seed = 0; seed < 10; ++seed)
+        drawn.Add(sampler->Draw(*strata, seed));
+      EXPECT_EQ(drawn.Get(), c.hash) << workload << " / " << c.label;
+    }
+  }
+}
+
+TEST(SamplerSplitTest, DrawRejectsAnotherSamplersStrata) {
+  const KernelTrace trace = SplitTrace("gaussian");
+  const StemRootSampler stem;
+  const auto pka = MakeCaseSampler("pka");
+  const std::unique_ptr<const Strata> pka_strata = pka->Stratify(trace);
+  EXPECT_THROW(stem.Draw(*pka_strata, 1), std::invalid_argument);
+  const std::unique_ptr<const Strata> stem_strata = stem.Stratify(trace);
+  EXPECT_THROW(pka->Draw(*stem_strata, 1), std::invalid_argument);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// BuildStemClusters with telemetry and logical accounting on, at a
+/// given thread count.
+struct ClusterRun {
+  StemClustering clustering;
+  std::string counters_json;
+  std::string distributions_json;
+  uint64_t root_peak = 0;
+};
+
+ClusterRun ClusterAtThreads(const KernelTrace& trace, int threads) {
+  SetNumThreads(threads);
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  resource::SetAccountingEnabled(true);
+  resource::ResetAccounting();
+
+  ClusterRun run;
+  run.clustering = BuildStemClusters(trace, RootConfig{});
+  const telemetry::Snapshot snapshot = telemetry::Capture();
+  run.counters_json = snapshot.CountersJson();
+  run.distributions_json = snapshot.DistributionsJson();
+  run.root_peak = resource::LogicalPeaks()["root"];
+
+  resource::ResetAccounting();
+  resource::SetAccountingEnabled(false);
+  telemetry::Reset();
+  telemetry::SetEnabled(false);
+  SetNumThreads(0);
+  return run;
+}
+
+TEST(StemClustersTest, PerKernelRootIsThreadCountInvariant) {
+  const KernelTrace trace = SplitTrace("bert_infer");
+  const ClusterRun one = ClusterAtThreads(trace, 1);
+  const ClusterRun four = ClusterAtThreads(trace, 4);
+
+  ASSERT_GT(one.clustering.clusters.size(), 1u);
+  ASSERT_EQ(one.clustering.clusters.size(), four.clustering.clusters.size());
+  EXPECT_EQ(one.clustering.kernel_ids, four.clustering.kernel_ids);
+  for (size_t i = 0; i < one.clustering.clusters.size(); ++i) {
+    const RootCluster& a = one.clustering.clusters[i];
+    const RootCluster& b = four.clustering.clusters[i];
+    EXPECT_EQ(a.members, b.members) << i;
+    EXPECT_EQ(a.depth, b.depth) << i;
+    EXPECT_EQ(a.stats.n, b.stats.n) << i;
+    EXPECT_EQ(Bits(a.stats.mean), Bits(b.stats.mean)) << i;
+    EXPECT_EQ(Bits(a.stats.stddev), Bits(b.stats.stddev)) << i;
+  }
+  EXPECT_NE(one.counters_json.find("core.kmeans.runs"), std::string::npos);
+  EXPECT_EQ(one.counters_json, four.counters_json);
+  EXPECT_EQ(one.distributions_json, four.distributions_json);
+  EXPECT_GT(one.root_peak, 0u);
+  EXPECT_EQ(one.root_peak, four.root_peak);
 }
 
 }  // namespace

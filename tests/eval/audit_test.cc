@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/sampler.h"
+#include "eval/metrics.h"
 #include "eval/pipeline.h"
 #include "hw/gpu_spec.h"
 #include "workloads/suite.h"
@@ -135,6 +136,24 @@ TEST(AuditTest, ExhaustiveClustersRealizeZeroError) {
     EXPECT_NEAR(row.mean_abs_error, 0.0, 1e-9) << row.kernel;
     EXPECT_TRUE(row.within_budget) << row.kernel;
   }
+}
+
+// The audit stratifies once and draws every trial from those strata; trial
+// r must still be the plan EvaluateRepeated evaluates as rep r.
+TEST(AuditTest, TrialReproducesEvaluationRep) {
+  const KernelTrace trace = ProfiledTrace("hotspot", 42, 0.5);
+  const core::StemRootSampler stem;
+  const uint64_t base = DeriveSeed(42, HashString(stem.Name()));
+  for (uint64_t r = 0; r < 4; ++r) {
+    const WorkloadAudit one =
+        AuditWorkload(trace, stem, core::RootConfig{}, 1, base + r);
+    const EvalResult rep = EvaluateRepeated(stem, trace, 1, base + r);
+    EXPECT_NEAR(100.0 * one.total_mean_abs_error, rep.error_pct, 1e-9) << r;
+  }
+  const WorkloadAudit four =
+      AuditWorkload(trace, stem, core::RootConfig{}, 4, base);
+  EXPECT_NEAR(100.0 * four.total_mean_abs_error,
+              EvaluateRepeated(stem, trace, 4, base).error_pct, 1e-9);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/random_sampler.h"
+#include "common/telemetry.h"
 #include "core/sampler.h"
 #include "hw/hardware_model.h"
 #include "workloads/casio.h"
@@ -83,19 +84,45 @@ TEST(EvaluateRepeatedTest, DeterministicSamplersRunOnce) {
    public:
     std::string Name() const override { return "Fixed"; }
     bool Deterministic() const override { return true; }
-    core::SamplingPlan BuildPlan(const KernelTrace& t,
-                                 uint64_t) const override {
-      core::SamplingPlan plan;
-      plan.method = Name();
-      plan.entries.push_back(
+    std::unique_ptr<const core::Strata> Stratify(
+        const KernelTrace& t) const override {
+      auto strata = std::make_unique<core::FixedPlanStrata>();
+      strata->plan.method = Name();
+      strata->plan.entries.push_back(
           {0, static_cast<double>(t.NumInvocations())});
-      return plan;
+      return strata;
+    }
+    core::SamplingPlan Draw(const core::Strata& strata,
+                            uint64_t) const override {
+      return core::StrataAs<core::FixedPlanStrata>(strata, "Fixed").plan;
     }
   } sampler;
   const EvalResult once = EvaluateRepeated(sampler, trace, 1, 1);
   const EvalResult many = EvaluateRepeated(sampler, trace, 10, 1);
   EXPECT_DOUBLE_EQ(once.error_pct, many.error_pct);
   EXPECT_DOUBLE_EQ(once.speedup, many.speedup);
+}
+
+// Stratification depends only on the trace: ten reps cost one plan's worth
+// of ROOT clustering, not ten.
+TEST(EvaluateRepeatedTest, StratifiesOncePerTrace) {
+  const KernelTrace trace = SmallProfiledTrace();
+  const core::StemRootSampler stem;
+  const auto kmeans_runs = [](const auto& fn) {
+    telemetry::SetEnabled(true);
+    telemetry::Reset();
+    fn();
+    const uint64_t runs = telemetry::Capture().Counter("core.kmeans.runs");
+    telemetry::Reset();
+    telemetry::SetEnabled(false);
+    return runs;
+  };
+  const uint64_t one_plan =
+      kmeans_runs([&] { (void)stem.BuildPlan(trace, 1); });
+  const uint64_t ten_reps =
+      kmeans_runs([&] { (void)EvaluateRepeated(stem, trace, 10, 1); });
+  EXPECT_GT(one_plan, 0u);
+  EXPECT_EQ(ten_reps, one_plan);
 }
 
 TEST(AggregateSuiteTest, PaperAveragingConventions) {

@@ -54,23 +54,6 @@ TEST(PipelineTest, GenerateMatchesHistoricalSeedDerivation) {
   EXPECT_EQ(pipeline.Opts().seed, kSeed);
 }
 
-// Pins the deprecated shim's equivalence with the facade: suppressing the
-// deprecation warning here is deliberate, the shim must stay bit-exact
-// until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PipelineTest, MatchesMakeProfiledWorkload) {
-  const Pipeline pipeline = MakePipeline();
-  const KernelTrace legacy =
-      MakeProfiledWorkload(workloads::SuiteId::kCasio, "bert_infer",
-                           hw::HardwareModel(hw::GpuSpec::Rtx2080()), kSeed,
-                           kScale);
-  ASSERT_EQ(pipeline.Trace().NumInvocations(), legacy.NumInvocations());
-  EXPECT_EQ(Bits(pipeline.Trace().TotalDurationUs()),
-            Bits(legacy.TotalDurationUs()));
-}
-#pragma GCC diagnostic pop
-
 TEST(PipelineTest, SampleEqualsEvaluateRepZero) {
   const Pipeline pipeline = MakePipeline();
   const core::StemRootSampler stem;

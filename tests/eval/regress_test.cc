@@ -282,9 +282,11 @@ TEST(RegressTest, NoisyBaselineAbsorbsJitterViaMad) {
 
   const RegressReport report = CheckRegression(ledger, RegressOptions{});
   ASSERT_TRUE(report.checked);
-  for (const GateResult& gate : report.gates)
-    if (gate.gate.rfind("perf:", 0) == 0)
+  for (const GateResult& gate : report.gates) {
+    if (gate.gate.rfind("perf:", 0) == 0) {
       EXPECT_FALSE(gate.regressed) << gate.gate << "\n" << report.ToText();
+    }
+  }
 }
 
 TEST(RegressTest, AccuracyBudgetGateNeedsNoHistory) {
@@ -352,9 +354,11 @@ TEST(RegressTest, WindowLimitsTheBaseline) {
   // sits under that median, so nothing trips.
   options.window = 0;
   const RegressReport full = CheckRegression(ledger, options);
-  for (const GateResult& gate : full.gates)
-    if (gate.gate == "perf:wall_time")
+  for (const GateResult& gate : full.gates) {
+    if (gate.gate == "perf:wall_time") {
       EXPECT_FALSE(gate.regressed) << full.ToText();
+    }
+  }
 }
 
 TEST(RegressTest, PerfBaselineIsWarmthMatched) {

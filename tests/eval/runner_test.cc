@@ -5,6 +5,7 @@
 #include "baselines/random_sampler.h"
 #include "core/sampler.h"
 #include "common/csv.h"
+#include "eval/pipeline.h"
 #include "eval/report.h"
 
 namespace stemroot::eval {
@@ -47,27 +48,15 @@ TEST(RunnerTest, StemBeatsRandomOnErrors) {
   EXPECT_LT(stem_agg.error_pct, random_agg.error_pct);
 }
 
-// These two tests pin the deprecated MakeProfiledWorkload shim on purpose:
-// it must keep producing bit-exact traces until the last caller migrates.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(RunnerTest, MakeProfiledWorkloadIsReady) {
-  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
-  const KernelTrace trace = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 3, 0.1);
-  EXPECT_GT(trace.NumInvocations(), 0u);
-  EXPECT_GT(trace.TotalDurationUs(), 0.0);
-}
-
 TEST(RunnerTest, SeedChangesWorkloadRealization) {
-  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
-  const KernelTrace a = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 3, 0.1);
-  const KernelTrace b = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 4, 0.1);
-  EXPECT_NE(a.TotalDurationUs(), b.TotalDurationUs());
+  const hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
+  const auto profiled = [&](uint64_t seed) {
+    return Pipeline::GenerateProfiled(workloads::SuiteId::kRodinia, "lud",
+                                      gpu, {.seed = seed, .size_scale = 0.1});
+  };
+  EXPECT_NE(profiled(3).Trace().TotalDurationUs(),
+            profiled(4).Trace().TotalDurationUs());
 }
-#pragma GCC diagnostic pop
 
 TEST(SuiteResultsIndexTest, ThousandRowResultSet) {
   // Regression for the quadratic Methods()/ForWorkload() scans: a DSE-sized

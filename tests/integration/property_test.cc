@@ -84,8 +84,9 @@ TEST_P(HardwareSweepTest, TimingInvariantsHold) {
   const KernelMetrics metrics = gpu.Metrics(inv, 3);
   for (size_t i = 0; i < KernelMetrics::kCount; ++i) {
     EXPECT_GE(metrics.Get(i), 0.0) << KernelMetrics::Name(i);
-    if (KernelMetrics::IsRate(i))
+    if (KernelMetrics::IsRate(i)) {
       EXPECT_LE(metrics.Get(i), 1.0) << KernelMetrics::Name(i);
+    }
   }
 }
 

@@ -1,13 +1,23 @@
 #include "service/protocol.h"
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/json.h"
 #include "eval/manifest.h"
+#include "service/server.h"
 
 namespace stemroot::service {
 namespace {
@@ -253,6 +263,121 @@ TEST_F(ProtocolTest, ShutdownFlagsTheLoop) {
   EXPECT_TRUE(result.shutdown);
   // Only shutdown sets the flag.
   EXPECT_FALSE(Handle(R"({"op":"stats"})").shutdown);
+}
+
+/// A `stemroot serve` loop on a private socket, for transport tests.
+class ServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("sr_server_test_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    options_.socket_path = (dir_ / "s.sock").string();
+    options_.journal_path = (dir_ / "journal.jsonl").string();
+    options_.resource_sample_ms = 0;
+    server_ = std::thread([this] {
+      try {
+        RunServer(options_);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "server: " << e.what();
+      }
+    });
+  }
+
+  void TearDown() override {
+    if (server_.joinable()) {
+      try {
+        RequestOnce(options_.socket_path, R"({"op":"shutdown"})");
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "shutdown: " << e.what();
+      }
+      server_.join();
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Connect, retrying while the server thread is still binding.
+  int Connect() const {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, options_.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0)
+        return fd;
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "server never accepted on " << options_.socket_path;
+    return -1;
+  }
+
+  /// Everything the server sends until it hangs up.
+  static std::string ReadAll(int fd) {
+    std::string out;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0)
+      out.append(chunk, static_cast<size_t>(n));
+    return out;
+  }
+
+  std::filesystem::path dir_;
+  ServerOptions options_;
+  std::thread server_;
+};
+
+TEST_F(ServerTest, PipelinedRequestsInOneWriteAllGetAnswers) {
+  const int fd = Connect();
+  ASSERT_GE(fd, 0);
+  const std::string two = "{\"op\":\"health\"}\n{\"op\":\"health\"}\n";
+  ASSERT_EQ(::send(fd, two.data(), two.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(two.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::istringstream responses(ReadAll(fd));
+  ::close(fd);
+  std::string line;
+  int answered = 0;
+  while (std::getline(responses, line)) {
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    ++answered;
+  }
+  EXPECT_EQ(answered, 2);
+}
+
+// A client that streams bytes without ever sending a newline must get a
+// typed error and lose its connection once the line passes the cap,
+// instead of growing the server's buffer; the server keeps serving.
+TEST_F(ServerTest, RejectsALineThatNeverEnds) {
+  const int fd = Connect();
+  ASSERT_GE(fd, 0);
+  const std::string chunk(64 * 1024, 'x');
+  size_t sent = 0;
+  while (sent < kMaxRequestLineBytes + 2 * chunk.size()) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server hung up mid-stream
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_GT(sent, kMaxRequestLineBytes);
+  const std::string response = ReadAll(fd);
+  ::close(fd);
+  EXPECT_EQ(response, OversizedLineError().response + "\n");
+  EXPECT_NE(response.find("\"code\":\"line_too_long\""), std::string::npos);
+
+  EXPECT_NE(RequestOnce(options_.socket_path, R"({"op":"health"})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  RequestOnce(options_.socket_path, R"({"op":"shutdown"})");
+  server_.join();
+
+  std::ifstream journal(options_.journal_path);
+  std::stringstream text;
+  text << journal.rdbuf();
+  EXPECT_NE(text.str().find("request.rejected"), std::string::npos);
+  EXPECT_NE(text.str().find("line_too_long"), std::string::npos);
 }
 
 }  // namespace

@@ -87,8 +87,9 @@ TEST_F(ItraceTest, CoalescedKernelTouchesOneLinePerAccess) {
   WarpProgram program(b, Launch(1, 32), config_, 13, 0, 0);
   WarpInstr instr;
   while (program.Next(instr)) {
-    if (instr.kind == OpKind::kLoad || instr.kind == OpKind::kStore)
+    if (instr.kind == OpKind::kLoad || instr.kind == OpKind::kStore) {
       EXPECT_EQ(instr.lines.size(), 1u);
+    }
   }
 }
 
