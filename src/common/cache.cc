@@ -1,117 +1,6 @@
 #include "common/cache.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
-#include <utility>
-
-#include "common/telemetry.h"
-
 namespace stemroot {
-
-namespace {
-
-constexpr char kMagic[4] = {'S', 'R', 'C', 'E'};
-constexpr uint32_t kFormatVersion = 1;
-constexpr const char* kEntrySuffix = ".srce";
-constexpr uint32_t kMaxKeyLen = 1u << 16;
-
-/// Fixed-size portion of the entry header, written/read as discrete
-/// little-endian fields (memcpy through char buffers keeps this free of
-/// alignment and padding concerns).
-struct Header {
-  uint32_t format_version = 0;
-  uint32_t key_len = 0;
-  uint64_t payload_len = 0;
-  uint64_t payload_hash = 0;
-};
-
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::string_view bytes, size_t& pos, T& out) {
-  if (bytes.size() - pos < sizeof(T)) return false;
-  std::memcpy(&out, bytes.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
-}
-
-/// Parse + verify one entry file's bytes. On success fills `payload` (when
-/// non-null) and returns true; otherwise stores a reason in `problem`.
-bool VerifyEntryBytes(std::string_view bytes, const std::string* want_key,
-                      std::string* payload, std::string* problem) {
-  size_t pos = 0;
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    *problem = "bad magic";
-    return false;
-  }
-  pos = sizeof(kMagic);
-  Header h;
-  if (!ReadPod(bytes, pos, h.format_version) ||
-      !ReadPod(bytes, pos, h.key_len)) {
-    *problem = "truncated header";
-    return false;
-  }
-  if (h.format_version != kFormatVersion) {
-    *problem = "unsupported format version";
-    return false;
-  }
-  if (h.key_len == 0 || h.key_len > kMaxKeyLen ||
-      bytes.size() - pos < h.key_len) {
-    *problem = "truncated or implausible key";
-    return false;
-  }
-  const std::string_view key = bytes.substr(pos, h.key_len);
-  pos += h.key_len;
-  if (want_key != nullptr && key != *want_key) {
-    *problem = "key mismatch (digest collision or renamed entry)";
-    return false;
-  }
-  if (!ReadPod(bytes, pos, h.payload_len) ||
-      !ReadPod(bytes, pos, h.payload_hash)) {
-    *problem = "truncated header";
-    return false;
-  }
-  if (bytes.size() - pos != h.payload_len) {
-    *problem = "payload length mismatch";
-    return false;
-  }
-  const std::string_view body = bytes.substr(pos);
-  if (Fnv1a64(body) != h.payload_hash) {
-    *problem = "payload checksum mismatch";
-    return false;
-  }
-  if (payload != nullptr) payload->assign(body);
-  return true;
-}
-
-std::optional<std::string> ReadFileBytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
-  return bytes;
-}
-
-bool IsEntryFile(const std::filesystem::directory_entry& entry) {
-  if (!entry.is_regular_file()) return false;
-  const std::string name = entry.path().filename().string();
-  return name.size() > std::strlen(kEntrySuffix) &&
-         name.rfind(kEntrySuffix) == name.size() - std::strlen(kEntrySuffix);
-}
-
-}  // namespace
 
 uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t hash = 0xCBF29CE484222325ULL;
@@ -130,154 +19,6 @@ std::string HexDigest64(uint64_t value) {
     value >>= 4;
   }
   return out;
-}
-
-ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {}
-
-std::string ArtifactCache::EntryPath(const std::string& key) const {
-  return (std::filesystem::path(dir_) /
-          (HexDigest64(Fnv1a64(key)) + kEntrySuffix))
-      .string();
-}
-
-std::optional<std::string> ArtifactCache::Get(const std::string& key) const {
-  const std::optional<std::string> bytes = ReadFileBytes(EntryPath(key));
-  if (!bytes) {
-    telemetry::Count("cache.miss");
-    return std::nullopt;
-  }
-  std::string payload;
-  std::string problem;
-  if (!VerifyEntryBytes(*bytes, &key, &payload, &problem)) {
-    // A defective entry is a miss by contract: recompute, never crash,
-    // never serve stale or torn data.
-    telemetry::Count("cache.miss");
-    telemetry::Count("cache.corrupt");
-    return std::nullopt;
-  }
-  telemetry::Count("cache.hit");
-  telemetry::Count("cache.read_bytes", payload.size());
-  return payload;
-}
-
-void ArtifactCache::Put(const std::string& key,
-                        std::string_view payload) const {
-  if (key.empty() || key.size() > kMaxKeyLen)
-    throw std::runtime_error("ArtifactCache: bad key length");
-
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);  // best effort; open reports
-
-  std::string entry;
-  entry.reserve(sizeof(kMagic) + sizeof(Header) + key.size() +
-                payload.size());
-  entry.append(kMagic, sizeof(kMagic));
-  AppendPod(entry, kFormatVersion);
-  AppendPod(entry, static_cast<uint32_t>(key.size()));
-  entry += key;
-  AppendPod(entry, static_cast<uint64_t>(payload.size()));
-  AppendPod(entry, Fnv1a64(payload));
-  entry.append(payload.data(), payload.size());
-
-  // Temp file in the same directory (rename is only atomic within one
-  // filesystem), unique per process so concurrent stores cannot collide.
-  const std::string final_path = EntryPath(key);
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("ArtifactCache: cannot open " + tmp_path);
-    out.write(entry.data(), static_cast<std::streamsize>(entry.size()));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::filesystem::remove(tmp_path, ec);
-      throw std::runtime_error("ArtifactCache: write failed: " + tmp_path);
-    }
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    throw std::runtime_error("ArtifactCache: rename into " + final_path +
-                             " failed");
-  }
-  telemetry::Count("cache.store");
-  telemetry::Count("cache.write_bytes", payload.size());
-}
-
-ArtifactCache::Stats ArtifactCache::GetStats() const {
-  Stats stats;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!IsEntryFile(entry)) continue;
-    ++stats.entries;
-    stats.bytes += entry.file_size(ec);
-  }
-  return stats;
-}
-
-std::vector<ArtifactCache::EntryInfo> ArtifactCache::Verify() const {
-  std::vector<EntryInfo> report;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!IsEntryFile(entry)) continue;
-    EntryInfo info;
-    info.file = entry.path().filename().string();
-    info.bytes = entry.file_size(ec);
-    const std::optional<std::string> bytes = ReadFileBytes(entry.path());
-    if (!bytes) {
-      info.problem = "unreadable";
-    } else {
-      // No expected key here: Verify checks self-consistency (header +
-      // checksum); key/digest agreement is re-checked per lookup in Get.
-      info.valid = VerifyEntryBytes(*bytes, nullptr, nullptr, &info.problem);
-    }
-    report.push_back(std::move(info));
-  }
-  std::sort(report.begin(), report.end(),
-            [](const EntryInfo& a, const EntryInfo& b) {
-              return a.file < b.file;
-            });
-  return report;
-}
-
-uint64_t ArtifactCache::Evict(uint64_t max_bytes) const {
-  struct Candidate {
-    std::filesystem::path path;
-    uint64_t bytes = 0;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<Candidate> candidates;
-  uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!IsEntryFile(entry)) continue;
-    Candidate c;
-    c.path = entry.path();
-    c.bytes = entry.file_size(ec);
-    c.mtime = entry.last_write_time(ec);
-    total += c.bytes;
-    candidates.push_back(std::move(c));
-  }
-  // Oldest first; tie-break on path so eviction order is deterministic.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.mtime != b.mtime) return a.mtime < b.mtime;
-              return a.path < b.path;
-            });
-  uint64_t removed = 0;
-  for (const Candidate& c : candidates) {
-    if (total <= max_bytes) break;
-    if (std::filesystem::remove(c.path, ec) && !ec) {
-      total -= c.bytes;
-      ++removed;
-    }
-  }
-  return removed;
 }
 
 }  // namespace stemroot

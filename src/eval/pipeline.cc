@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/cache.h"
-#include "common/log.h"
 #include "common/resource.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
@@ -53,8 +51,9 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
                                     const std::string& gpu_name) {
   const TraceCache* cache = DefaultTraceCache();
   // The key is built even with no cache configured: the spill file
-  // (MaybeSpill) names itself by this digest so a stale spill from a
-  // different build/config can never be mistaken for the current one.
+  // (MaybeSpill) is named by its digest and echoes it, so a stale spill
+  // from a different build/config can never be mistaken for the current
+  // one.
   TraceCacheKey key;
   key.suite = workloads::ToName(suite);
   key.workload = workload;
@@ -62,7 +61,6 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
   key.scale = options.size_scale;
   key.seed = options.seed;
   key.build_stamp = BuildStamp();
-  const std::string key_digest = HexDigest64(Fnv1a64(key.KeyString()));
   if (cache != nullptr) {
     std::optional<KernelTrace> trace;
     {
@@ -81,7 +79,7 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
         telemetry::Count("workloads.invocations_generated", n);
         telemetry::Record("workloads.trace_invocations",
                           static_cast<double>(n));
-        // The deserialized trace has the same element counts as the one
+        // The loaded trace has the same element counts as the one
         // Generate would have built, so this charge keeps a warm run's
         // logical "trace" peak byte-identical to the cold run's.
         resource::Account("trace", trace->ApproxBytes());
@@ -96,7 +94,7 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
       pipeline.suite_name_ = workloads::ToName(suite);
       pipeline.workload_ = workload;
       pipeline.gpu_name_ = gpu_name;
-      pipeline.MaybeSpill(key_digest);
+      pipeline.MaybeSpill(key);
       return pipeline;
     }
   }
@@ -104,11 +102,11 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
   pipeline.Profile(gpu);
   pipeline.gpu_name_ = gpu_name;
   if (cache != nullptr) cache->Store(key, pipeline.trace_);
-  pipeline.MaybeSpill(key_digest);
+  pipeline.MaybeSpill(key);
   return pipeline;
 }
 
-void Pipeline::MaybeSpill(const std::string& key_digest) {
+void Pipeline::MaybeSpill(const TraceCacheKey& key) {
   if (options_.trace_spill_dir.empty()) return;
   const uint64_t cap = options_.trace_chunk_invocations > 0
                            ? options_.trace_chunk_invocations
@@ -116,52 +114,22 @@ void Pipeline::MaybeSpill(const std::string& key_digest) {
   telemetry::Span span("cache.spill");
   std::error_code ec;
   std::filesystem::create_directories(options_.trace_spill_dir, ec);
-  const std::string path =
-      (std::filesystem::path(options_.trace_spill_dir) /
-       (key_digest + ".srtc"))
-          .string();
-
-  // Reuse an existing spill file only when it fully verifies against this
-  // run: same trace shape and every chunk digest intact. Anything less --
-  // truncation, a corrupt chunk, a stale capacity -- rebuilds from the
-  // in-memory trace; corrupt bytes on disk cost a rewrite, never a crash
-  // and never wrong chunks served downstream.
-  bool have_prior = std::filesystem::exists(path, ec) && !ec;
-  if (have_prior) {
-    bool reusable = false;
-    try {
-      ChunkedTraceReader reader(path);
-      reusable = reader.ChunkCapacity() == cap &&
-                 reader.NumInvocations() == trace_.NumInvocations() &&
-                 reader.Header().WorkloadName() == trace_.WorkloadName() &&
-                 reader.Header().NumKernelTypes() == trace_.NumKernelTypes();
-      for (size_t i = 0; reusable && i < reader.NumChunks(); ++i)
-        reusable = reader.VerifyChunk(i);
-      if (reusable) {
-        spill_ = SpillInfo{.enabled = true,
-                           .path = path,
-                           .chunk_invocations = cap,
-                           .chunks = reader.NumChunks(),
-                           .bytes = static_cast<uint64_t>(
-                               std::filesystem::file_size(path, ec)),
-                           .reused = true};
-        telemetry::Count("cache.spill_reuse");
-        return;
-      }
-    } catch (const std::exception& e) {
-      Warn("trace spill: unreadable spill file, rebuilding: %s", e.what());
-    }
-    telemetry::Count("cache.spill_rebuild");
+  // A spill is a trace entry like a cache entry: a verified file is
+  // reused, anything less is rebuilt from the in-memory trace.
+  const std::string path = TraceEntryPath(options_.trace_spill_dir, key);
+  const TraceEntryInfo entry =
+      EnsureTraceEntry(path, key.KeyString(), trace_, cap);
+  spill_ = SpillInfo{.enabled = true,
+                     .path = path,
+                     .chunk_invocations = cap,
+                     .chunks = entry.chunks,
+                     .bytes = entry.bytes,
+                     .reused = entry.reused};
+  if (entry.reused) {
+    telemetry::Count("cache.spill_reuse");
+    return;
   }
-
-  const size_t chunks = SpillTraceChunked(trace_, path, cap);
-  spill_ = SpillInfo{
-      .enabled = true,
-      .path = path,
-      .chunk_invocations = cap,
-      .chunks = chunks,
-      .bytes = static_cast<uint64_t>(std::filesystem::file_size(path, ec)),
-      .reused = false};
+  if (entry.rebuilt) telemetry::Count("cache.spill_rebuild");
   telemetry::Count("cache.spill_write");
   resource::Account("cache", spill_.bytes);
 }

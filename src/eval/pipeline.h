@@ -50,6 +50,8 @@ namespace stemroot::eval {
 /// historical RunSuite derivation.
 inline constexpr uint64_t kProfileStream = 0x50524F46ULL;
 
+struct TraceCacheKey;  // eval/trace_cache.h
+
 class Pipeline {
  public:
   struct Options {
@@ -64,9 +66,9 @@ class Pipeline {
     uint64_t trace_chunk_invocations = 0;
     /// Directory for the chunked on-disk spill (--trace-spill). "" = no
     /// spill. When set, GenerateProfiled writes (or verifies and reuses)
-    /// an "SRTC" file named by the trace-cache key digest; a corrupt or
-    /// stale spill file is rebuilt, never trusted (trace/chunked.h
-    /// failure contract).
+    /// the trace entry for its trace-cache key there (EnsureTraceEntry,
+    /// the routine behind the trace cache); a corrupt or stale spill file
+    /// is rebuilt, never trusted.
     std::string trace_spill_dir;
   };
 
@@ -184,7 +186,7 @@ class Pipeline {
   void RequireProfiled(const char* stage) const;
   /// Write-or-verify the chunked spill file for this profiled trace
   /// (no-op when trace_spill_dir is empty).
-  void MaybeSpill(const std::string& key_digest);
+  void MaybeSpill(const TraceCacheKey& key);
 
   KernelTrace trace_;
   Options options_;

@@ -1,33 +1,75 @@
 #include "eval/trace_cache.h"
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/build_info.h"
+#include "common/cache.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/resource.h"
 #include "common/telemetry.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 
 namespace stemroot::eval {
 
 namespace {
+
+namespace fs = std::filesystem;
+
+constexpr std::string_view kEntrySuffix = ".srtc";
+/// Entries of the retired whole-trace envelope format: never read, always
+/// reported defective, evictable.
+constexpr std::string_view kLegacySuffix = ".srce";
 
 void AppendField(std::string& out, std::string_view value) {
   out += '|';
   out += value;
 }
 
+/// Entry files of a cache directory (a missing directory has none).
+std::vector<fs::directory_entry> EntryFiles(const std::string& dir) {
+  std::vector<fs::directory_entry> files;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file(ec) &&
+        (ext == kEntrySuffix || ext == kLegacySuffix))
+      files.push_back(entry);
+  }
+  return files;
+}
+
+/// "" when the entry file verifies, its defect otherwise. Never throws.
+std::string EntryProblem(const fs::path& path) {
+  if (path.extension() == kLegacySuffix)
+    return "retired .srce entry format (never read; evict to reclaim)";
+  try {
+    const ChunkedTraceReader reader(path.string());
+    for (size_t i = 0; i < reader.NumChunks(); ++i)
+      if (!reader.VerifyChunk(i))
+        return "chunk " + std::to_string(i) + " digest mismatch";
+    // The file name is the digest of the echoed key; a mismatch is a
+    // renamed or foreign file that no lookup would ever accept.
+    if (path.filename().string() !=
+        HexDigest64(Fnv1a64(reader.Key())) + std::string(kEntrySuffix))
+      return "key echo does not match the file name";
+    return "";
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
 }  // namespace
 
 std::string TraceCacheKey::KeyString() const {
   std::string key(kTraceCacheSchema);
-  AppendField(key, "srtr" + std::to_string(TraceFormatVersion()));
+  AppendField(key, "srtc" + std::to_string(SrtcFormatVersion()));
   AppendField(key, build_stamp);
   AppendField(key, suite);
   AppendField(key, workload);
@@ -39,11 +81,10 @@ std::string TraceCacheKey::KeyString() const {
   return key;
 }
 
-std::string ChunkKeyString(const TraceCacheKey& key, uint64_t chunk_index) {
-  std::string out = key.KeyString();
-  AppendField(out, "srtc" + std::to_string(ChunkedTraceFormatVersion()));
-  AppendField(out, "chunk=" + std::to_string(chunk_index));
-  return out;
+std::string TraceEntryPath(const std::string& dir, const TraceCacheKey& key) {
+  return (fs::path(dir) /
+          (HexDigest64(Fnv1a64(key.KeyString())) + std::string(kEntrySuffix)))
+      .string();
 }
 
 std::string GpuDigest(const hw::HardwareModel& gpu) {
@@ -82,69 +123,116 @@ std::string BuildStamp() {
   return stamp;
 }
 
-TraceCache::TraceCache(std::string dir) : cache_(std::move(dir)) {}
+TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::optional<KernelTrace> TraceCache::Load(const TraceCacheKey& key) const {
-  const std::optional<std::string> payload = cache_.Get(key.KeyString());
-  if (!payload) return std::nullopt;
-  // Serialized payload bytes held while deserializing; the serialization
-  // is canonical, so a warm Load charges exactly what the cold Store did.
-  resource::Account("cache", payload->size());
-  try {
-    return DeserializeTrace(*payload);
-  } catch (const std::exception& e) {
-    // The entry checksum passed but the payload is not one well-formed
-    // trace (e.g. a hand-edited or foreign entry). Same contract as any
-    // other defect: recompute.
-    telemetry::Count("cache.corrupt");
-    Warn("trace cache: undeserializable entry treated as a miss: %s",
-         e.what());
+  const std::string path = EntryPath(key);
+  std::error_code ec;
+  if (!fs::exists(path, ec)) {
+    telemetry::Count("cache.miss");
     return std::nullopt;
   }
-}
-
-std::optional<std::string> TraceCache::LoadChunk(const TraceCacheKey& key,
-                                                 uint64_t chunk_index) const {
-  std::optional<std::string> payload =
-      cache_.Get(ChunkKeyString(key, chunk_index));
-  if (!payload) return std::nullopt;
-  resource::Account("cache", payload->size());
   try {
-    // Structural validation beyond the entry checksum: the payload must be
-    // exactly one well-formed chunk, or it is a miss like any other defect.
-    (void)DecodeChunk(*payload, /*first_seq=*/0);
-  } catch (const std::exception& e) {
+    const FileChunkSource source(path);
+    if (source.Reader().Key() != key.KeyString())
+      throw std::runtime_error("key mismatch (digest collision or renamed "
+                               "entry)");
+    KernelTrace trace = AssembleTrace(source);  // verifies every chunk
+    // The entry bytes are canonical for the trace, so a warm Load charges
+    // exactly what the cold Store did.
+    const uint64_t bytes = fs::file_size(path, ec);
+    resource::Account("cache", bytes);
+    telemetry::Count("cache.hit");
+    telemetry::Count("cache.read_bytes", bytes);
+    return trace;
+  } catch (const std::exception&) {
+    // A defective entry is a miss by contract: recompute, never crash,
+    // never serve stale or torn data.
+    telemetry::Count("cache.miss");
     telemetry::Count("cache.corrupt");
-    Warn("trace cache: undecodable chunk entry treated as a miss: %s",
-         e.what());
     return std::nullopt;
-  }
-  return payload;
-}
-
-bool TraceCache::StoreChunk(const TraceCacheKey& key, uint64_t chunk_index,
-                            std::string payload) const {
-  try {
-    resource::Account("cache", payload.size());
-    cache_.Put(ChunkKeyString(key, chunk_index), std::move(payload));
-    return true;
-  } catch (const std::exception& e) {
-    Warn("trace cache: chunk store failed, continuing uncached: %s", e.what());
-    return false;
   }
 }
 
 bool TraceCache::Store(const TraceCacheKey& key,
                        const KernelTrace& trace) const {
   try {
-    std::string payload = SerializeTrace(trace);
-    resource::Account("cache", payload.size());
-    cache_.Put(key.KeyString(), std::move(payload));
+    std::error_code ec;
+    fs::create_directories(dir_, ec);  // best effort; the writer reports
+    const TraceEntryInfo entry = EnsureTraceEntry(
+        EntryPath(key), key.KeyString(), trace, kDefaultChunkInvocations);
+    resource::Account("cache", entry.bytes);
+    if (!entry.reused) {
+      telemetry::Count("cache.store");
+      telemetry::Count("cache.write_bytes", entry.bytes);
+    }
     return true;
   } catch (const std::exception& e) {
     Warn("trace cache: store failed, continuing uncached: %s", e.what());
     return false;
   }
+}
+
+TraceCache::Stats TraceCache::GetStats() const {
+  Stats stats;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : EntryFiles(dir_)) {
+    ++stats.entries;
+    stats.bytes += entry.file_size(ec);
+  }
+  return stats;
+}
+
+std::vector<TraceCache::EntryInfo> TraceCache::Verify() const {
+  std::vector<EntryInfo> report;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : EntryFiles(dir_)) {
+    EntryInfo info;
+    info.file = entry.path().filename().string();
+    info.bytes = entry.file_size(ec);
+    info.problem = EntryProblem(entry.path());
+    info.valid = info.problem.empty();
+    report.push_back(std::move(info));
+  }
+  std::sort(report.begin(), report.end(),
+            [](const EntryInfo& a, const EntryInfo& b) {
+              return a.file < b.file;
+            });
+  return report;
+}
+
+uint64_t TraceCache::Evict(uint64_t max_bytes) const {
+  struct Candidate {
+    fs::path path;
+    uint64_t bytes = 0;
+    fs::file_time_type mtime;
+  };
+  std::vector<Candidate> candidates;
+  uint64_t total = 0;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : EntryFiles(dir_)) {
+    Candidate c;
+    c.path = entry.path();
+    c.bytes = entry.file_size(ec);
+    c.mtime = entry.last_write_time(ec);
+    total += c.bytes;
+    candidates.push_back(std::move(c));
+  }
+  // Oldest first; tie-break on path so eviction order is deterministic.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.mtime != b.mtime) return a.mtime < b.mtime;
+              return a.path < b.path;
+            });
+  uint64_t removed = 0;
+  for (const Candidate& c : candidates) {
+    if (total <= max_bytes) break;
+    if (fs::remove(c.path, ec) && !ec) {
+      total -= c.bytes;
+      ++removed;
+    }
+  }
+  return removed;
 }
 
 std::string DefaultTraceCacheDir() { return "bench_results/cache"; }

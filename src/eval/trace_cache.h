@@ -6,12 +6,14 @@
 /// the wall time of every CLI command and bench, yet both stages are pure
 /// functions of (suite, workload, gpu spec, scale, seed) plus the code
 /// revision. The cache exploits that: the key digests exactly those
-/// inputs, the value is the versioned binary serialization of the profiled
-/// trace (trace/serialize.h) stored in a self-verifying ArtifactCache
-/// entry (common/cache.h). A warm `stemroot run` therefore skips straight
-/// to cluster+sample+evaluate, byte-identical to the cold run.
+/// inputs, and the entry `<dir>/<key digest>.srtc` is the profiled trace
+/// as an "SRTC" file (trace/chunked.h) that echoes the full key string in
+/// its header. A warm `stemroot run` therefore skips straight to
+/// cluster+sample+evaluate, byte-identical to the cold run. A pipeline
+/// spill (Pipeline::Options::trace_spill_dir) is the same entry in another
+/// directory, written by the same routine (EnsureTraceEntry).
 ///
-/// Key / invalidation contract (DESIGN.md "The profiled-trace cache"):
+/// Key / invalidation contract (DESIGN.md §11):
 ///
 ///   key = schema tag | trace format version | build stamp |
 ///         suite | workload | gpu digest | scale | seed
@@ -25,12 +27,19 @@
 ///     detected late. Note the dirty-tree caveat: two different
 ///     uncommitted edits share a stamp; run `stemroot cache evict` when
 ///     iterating on generator/model code with a dirty tree.
-///   - the serialization version retires whole generations of entries on
-///     format changes.
+///   - the format version retires whole generations of entries on format
+///     changes.
 ///
-/// Defects of any kind (truncation, checksum, key echo, version) are
-/// plain misses by ArtifactCache contract: recompute, never crash, never
-/// serve stale data.
+/// Defects of any kind (truncation, chunk digest, key echo, version) are
+/// plain misses: recompute, never crash, never serve stale data. Entries
+/// are published by temp file + rename, so a crash mid-store leaves the
+/// old entry or none, never a torn one.
+///
+/// When telemetry is enabled the cache emits `cache.hit`, `cache.miss`,
+/// `cache.corrupt`, `cache.store`, `cache.read_bytes`, and
+/// `cache.write_bytes`. These are *environmental* (they depend on what is
+/// on disk, like wall times), so `stemroot compare` excludes the `cache.`
+/// prefix from its determinism gate -- see src/eval/regress.h.
 ///
 /// The process-wide default cache is what Pipeline::GenerateProfiled
 /// consults; the CLI and benches configure it from `--cache DIR|none`
@@ -42,8 +51,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
-#include "common/cache.h"
 #include "hw/hardware_model.h"
 #include "trace/trace.h"
 #include "workloads/suite.h"
@@ -66,11 +75,10 @@ struct TraceCacheKey {
   std::string KeyString() const;
 };
 
-/// Canonical key of one chunk of a chunked trace (trace/chunked.h): the
-/// base KeyString() plus the "SRTC" format version and the chunk index,
-/// so chunk entries share the whole-trace key's invalidation story (build
-/// stamp, gpu digest, ...) and a chunked-format bump retires them all.
-std::string ChunkKeyString(const TraceCacheKey& key, uint64_t chunk_index);
+/// Where the trace entry for `key` lives in `dir`:
+/// `<dir>/<FNV-1a64 of KeyString()>.srtc`. Cache entries and pipeline
+/// spills share this name.
+std::string TraceEntryPath(const std::string& dir, const TraceCacheKey& key);
 
 /// Digest of the full hardware-model configuration: every GpuSpec field
 /// (including the name) and every TimingParams field.
@@ -79,36 +87,57 @@ std::string GpuDigest(const hw::HardwareModel& gpu);
 /// Canonical build-stamp string of this binary's BuildInfo.
 std::string BuildStamp();
 
-/// Profiled-trace view over an ArtifactCache directory.
+/// A directory of profiled-trace entries.
 class TraceCache {
  public:
+  /// One entry as seen by the Verify sweep.
+  struct EntryInfo {
+    std::string file;     ///< file name inside the cache directory
+    uint64_t bytes = 0;   ///< file size on disk
+    bool valid = false;   ///< opens, every chunk digest verifies, name
+                          ///< matches the echoed key
+    std::string problem;  ///< why `valid` is false ("" when valid)
+  };
+
+  struct Stats {
+    uint64_t entries = 0;  ///< entry files present
+    uint64_t bytes = 0;    ///< their total size
+  };
+
+  /// The directory is created lazily on the first Store.
   explicit TraceCache(std::string dir);
 
-  /// Deserialized trace on a verified hit; std::nullopt on a miss, any
-  /// entry defect, or an undeserializable payload. Never throws.
+  const std::string& Dir() const { return dir_; }
+  std::string EntryPath(const TraceCacheKey& key) const {
+    return TraceEntryPath(dir_, key);
+  }
+
+  /// The trace on a verified hit (the entry echoes `key` and every chunk
+  /// digest checks out while it is read); std::nullopt on a miss or any
+  /// entry defect. Never throws.
   std::optional<KernelTrace> Load(const TraceCacheKey& key) const;
 
-  /// Serialize + store. Best effort: returns false (with a warning log)
+  /// Write the entry for `key` (EnsureTraceEntry: a valid entry already in
+  /// place is kept). Best effort: returns false (with a warning log)
   /// instead of throwing -- a failed store must never fail the run.
   bool Store(const TraceCacheKey& key, const KernelTrace& trace) const;
 
-  /// One chunk's payload (EncodeChunk bytes) on a verified hit;
-  /// std::nullopt on a miss, any entry defect, or an undecodable payload
-  /// -- a corrupt chunk is a plain miss (recomputed, never served), the
-  /// same contract as Load. Never throws.
-  std::optional<std::string> LoadChunk(const TraceCacheKey& key,
-                                       uint64_t chunk_index) const;
+  /// Entry count and total bytes. A missing directory is an empty cache.
+  /// Entry files are `*.srtc` plus retired `*.srce` ones, which Load never
+  /// reads, Verify reports as defective, and Evict removes.
+  Stats GetStats() const;
 
-  /// Store one chunk payload under ChunkKeyString(key, chunk_index).
-  /// Best effort like Store: returns false instead of throwing.
-  bool StoreChunk(const TraceCacheKey& key, uint64_t chunk_index,
-                  std::string payload) const;
+  /// Verify every entry. Sorted by file name so the report is
+  /// deterministic.
+  std::vector<EntryInfo> Verify() const;
 
-  /// The underlying entry store (stats/verify/evict for `stemroot cache`).
-  const ArtifactCache& Artifacts() const { return cache_; }
+  /// Remove entries, oldest first by mtime, until the cache holds at most
+  /// `max_bytes` (0 = remove everything). Returns the number of entries
+  /// removed. Never throws; undeletable files are skipped.
+  uint64_t Evict(uint64_t max_bytes = 0) const;
 
  private:
-  ArtifactCache cache_;
+  std::string dir_;
 };
 
 /// The committed default directory, shared by the CLI and benches:

@@ -1,18 +1,22 @@
 #include "trace/chunked.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "common/cache.h"
+#include "common/log.h"
 #include "common/str.h"
 
 namespace stemroot {
 
-// Same byte-order contract as "SRTR" (trace/serialize.cc): chunk payloads
-// and index records are raw little-endian object bytes.
+// Chunk payloads and index records are raw little-endian object bytes.
 static_assert(std::endian::native == std::endian::little,
               "SRTC chunked trace format assumes a little-endian host; "
               "port trace/chunked.cc with explicit byte swapping before "
@@ -22,13 +26,17 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'R', 'T', 'C'};
 constexpr char kTrailerMagic[4] = {'S', 'R', 'T', 'F'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 /// Fixed trailer at the very end of the file: u64 footer_offset,
 /// u64 num_chunks, u64 total_invocations, u32 version, magic.
 constexpr uint64_t kTrailerBytes = 3 * sizeof(uint64_t) + sizeof(uint32_t) +
                                    sizeof(kTrailerMagic);
 constexpr uint64_t kFooterRecordBytes = 3 * sizeof(uint64_t);
+
+/// Minimum header bytes of one kernel type: empty name (u32 length),
+/// num_basic_blocks, and an empty weight table (u32 count).
+constexpr uint64_t kTypeMinBytes = 3 * sizeof(uint32_t);
 
 /// One invocation's footprint in a columnar chunk payload: 8 u32 columns
 /// (ids + launch geometry), 2 u64 columns, 10 f32 behaviour columns, and
@@ -42,30 +50,55 @@ void AppendPod(std::string& out, const T& value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Bounds-checked cursor over a chunk payload. Like the SRTR reader, every
-/// count is validated against the bytes remaining before any allocation is
-/// sized from it.
+void AppendString(std::string& out, std::string_view s) {
+  AppendPod(out, static_cast<uint32_t>(s.size()));
+  out.append(s);
+}
+
+/// Bounds-checked cursor over in-memory file bytes (a chunk payload, the
+/// header, the footer or the trailer). `bytes` and `what` (the context of
+/// error messages) must outlive it; the cursor itself never allocates on
+/// the decode path. Every length or count is checked against the bytes
+/// remaining before any allocation is sized from it.
 class PayloadCursor {
  public:
-  explicit PayloadCursor(std::string_view bytes) : bytes_(bytes) {}
+  PayloadCursor(std::string_view bytes, std::string_view what)
+      : bytes_(bytes), what_(what) {}
 
   uint64_t Remaining() const { return bytes_.size() - pos_; }
 
+  [[noreturn]] void Fail(const std::string& why) const {
+    throw std::runtime_error(std::string(what_) + ": " + why);
+  }
+
+  std::string_view Bytes(uint64_t n) {
+    if (Remaining() < n) Fail("truncated (corrupt or short input)");
+    const std::string_view out = bytes_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   template <typename T>
   T Read() {
-    if (Remaining() < sizeof(T))
-      throw std::runtime_error("DecodeChunk: truncated chunk payload");
     T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    std::memcpy(&value, Bytes(sizeof(T)).data(), sizeof(T));
     return value;
+  }
+
+  /// A u32-length-prefixed string of at most `max_len` bytes.
+  std::string ReadString(uint64_t max_len, const char* field) {
+    const uint32_t len = Read<uint32_t>();
+    if (len > max_len || len > Remaining())
+      Fail(std::string("corrupt ") + field +
+           " length (exceeds the bytes remaining)");
+    return std::string(Bytes(len));
   }
 
   /// Read one column of `count` elements, invoking set(i, value).
   template <typename T, typename Setter>
   void ReadColumn(uint64_t count, Setter set) {
-    if (Remaining() < count * sizeof(T))
-      throw std::runtime_error("DecodeChunk: truncated chunk payload");
+    if (Remaining() / sizeof(T) < count)
+      Fail("truncated (corrupt or short input)");
     for (uint64_t i = 0; i < count; ++i) {
       T value;
       std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
@@ -77,22 +110,22 @@ class PayloadCursor {
  private:
   std::string_view bytes_;
   uint64_t pos_ = 0;
+  std::string_view what_;
 };
 
-/// Serialize the header section (magic, version, chunk capacity, workload
-/// name, kernel-type table) into a byte string.
-std::string EncodeHeader(const KernelTrace& header,
-                         uint64_t chunk_invocations) {
+/// Serialize the header section (magic, version, chunk capacity, key,
+/// workload name, kernel-type table) into a byte string.
+std::string EncodeHeader(const KernelTrace& header, uint64_t chunk_invocations,
+                         std::string_view key) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   AppendPod(out, kVersion);
   AppendPod(out, chunk_invocations);
-  AppendPod(out, static_cast<uint32_t>(header.WorkloadName().size()));
-  out.append(header.WorkloadName());
+  AppendString(out, key);
+  AppendString(out, header.WorkloadName());
   AppendPod(out, static_cast<uint32_t>(header.NumKernelTypes()));
   for (const KernelType& type : header.Types()) {
-    AppendPod(out, static_cast<uint32_t>(type.name.size()));
-    out.append(type.name);
+    AppendString(out, type.name);
     AppendPod(out, type.num_basic_blocks);
     AppendPod(out, static_cast<uint32_t>(type.block_weights.size()));
     for (float w : type.block_weights) AppendPod(out, w);
@@ -100,24 +133,29 @@ std::string EncodeHeader(const KernelTrace& header,
   return out;
 }
 
-std::string ReadFileString(std::ifstream& in, uint64_t remaining_bound,
-                           const char* what) {
-  uint32_t len = 0;
-  in.read(reinterpret_cast<char*>(&len), sizeof(len));
-  if (!in || len > remaining_bound)
-    throw std::runtime_error(std::string("ChunkedTraceReader: corrupt ") +
-                             what);
-  std::string s(len, '\0');
-  in.read(s.data(), len);
+/// `len` bytes at `offset`; the caller has bounded both by the file size.
+std::string ReadAt(std::ifstream& in, uint64_t offset, uint64_t len,
+                   const std::string& path) {
+  std::string bytes(len, '\0');
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(bytes.data(), static_cast<std::streamsize>(len));
   if (!in)
-    throw std::runtime_error(std::string("ChunkedTraceReader: truncated ") +
-                             what);
-  return s;
+    throw std::runtime_error("ChunkedTraceReader: short read: " + path);
+  return bytes;
+}
+
+/// A fresh temp-file name next to `path`: unique per process and per
+/// writer, so concurrent writers of one entry never share a temp file.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1));
 }
 
 }  // namespace
 
-uint32_t ChunkedTraceFormatVersion() { return kVersion; }
+uint32_t SrtcFormatVersion() { return kVersion; }
 
 uint64_t ChunkWireBytesPerInvocation() { return kColumnarBytesPerInvocation; }
 
@@ -158,7 +196,7 @@ std::string EncodeChunk(std::span<const KernelInvocation> invocations) {
 
 std::vector<KernelInvocation> DecodeChunk(std::string_view payload,
                                           uint64_t first_seq) {
-  PayloadCursor cur(payload);
+  PayloadCursor cur(payload, "DecodeChunk: chunk payload");
   const uint64_t count = cur.Read<uint64_t>();
   // Bound the count against the payload size BEFORE sizing the vector from
   // it -- a corrupt count must throw, never attempt a huge allocation.
@@ -229,33 +267,34 @@ struct ChunkedTraceWriter::Impl {
 
 ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
                                        const KernelTrace& header,
-                                       uint64_t chunk_invocations)
+                                       uint64_t chunk_invocations,
+                                       std::string_view key)
     : path_(path),
+      tmp_path_(TempPathFor(path)),
       chunk_invocations_(chunk_invocations),
       impl_(std::make_unique<Impl>()) {
   if (chunk_invocations_ == 0)
     throw std::invalid_argument(
         "ChunkedTraceWriter: chunk_invocations must be > 0");
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
+  if (key.size() > kMaxTraceKeyBytes)
+    throw std::invalid_argument("ChunkedTraceWriter: key too long");
+  impl_->out.open(tmp_path_, std::ios::binary | std::ios::trunc);
   if (!impl_->out)
-    throw std::runtime_error("ChunkedTraceWriter: cannot open " + path);
-  const std::string head = EncodeHeader(header, chunk_invocations_);
+    throw std::runtime_error("ChunkedTraceWriter: cannot open " + tmp_path_);
+  const std::string head = EncodeHeader(header, chunk_invocations_, key);
   impl_->out.write(head.data(), static_cast<std::streamsize>(head.size()));
   if (!impl_->out)
     throw std::runtime_error("ChunkedTraceWriter: header write failed: " +
-                             path);
+                             tmp_path_);
   buffer_.reserve(chunk_invocations_);
 }
 
 ChunkedTraceWriter::~ChunkedTraceWriter() {
-  if (!finished_) {
-    try {
-      Finish();
-    } catch (...) {
-      // Best effort in a destructor; an unfinished file has no trailer and
-      // every reader rejects it, so silence is safe here.
-    }
-  }
+  if (finished_) return;
+  // Abandoned (an exception, or no Finish()): publish nothing.
+  impl_->out.close();
+  std::error_code ec;
+  std::filesystem::remove(tmp_path_, ec);
 }
 
 void ChunkedTraceWriter::Append(const KernelInvocation& inv) {
@@ -279,7 +318,7 @@ void ChunkedTraceWriter::FlushChunk() {
                    static_cast<std::streamsize>(payload.size()));
   if (!impl_->out)
     throw std::runtime_error("ChunkedTraceWriter: chunk write failed: " +
-                             path_);
+                             tmp_path_);
   chunks_.push_back(info);
   buffer_.clear();
 }
@@ -301,11 +340,17 @@ void ChunkedTraceWriter::Finish() {
   AppendPod(tail, kVersion);
   tail.append(kTrailerMagic, sizeof(kTrailerMagic));
   impl_->out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  impl_->out.flush();
+  impl_->out.close();
   if (!impl_->out)
     throw std::runtime_error("ChunkedTraceWriter: footer write failed: " +
-                             path_);
-  impl_->out.close();
+                             tmp_path_);
+  // rename() is atomic within one filesystem, hence the same-directory
+  // temp file: a reader of path_ sees the old file or the new one.
+  std::error_code ec;
+  std::filesystem::rename(tmp_path_, path_, ec);
+  if (ec)
+    throw std::runtime_error("ChunkedTraceWriter: rename into " + path_ +
+                             " failed: " + ec.message());
   finished_ = true;
 }
 
@@ -315,9 +360,8 @@ void ChunkedTraceWriter::Finish() {
 
 struct ChunkedTraceReader::Impl {
   // Opened once; ReadChunk seeks within it. mutable because chunk reads are
-  // logically const (the file is immutable after Finish()).
+  // logically const (the file is immutable once published).
   mutable std::ifstream in;
-  uint64_t file_size = 0;
 };
 
 ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
@@ -326,116 +370,98 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
   in.open(path, std::ios::binary);
   if (!in) throw std::runtime_error("ChunkedTraceReader: cannot open " + path);
   in.seekg(0, std::ios::end);
-  impl_->file_size = static_cast<uint64_t>(in.tellg());
-  if (impl_->file_size < kTrailerBytes)
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  if (file_size < kTrailerBytes)
     throw std::runtime_error("ChunkedTraceReader: file too small: " + path);
 
   // Trailer first: it locates the footer without scanning any chunks.
-  in.seekg(static_cast<std::streamoff>(impl_->file_size - kTrailerBytes));
-  uint64_t footer_offset = 0, num_chunks = 0;
-  in.read(reinterpret_cast<char*>(&footer_offset), sizeof(footer_offset));
-  in.read(reinterpret_cast<char*>(&num_chunks), sizeof(num_chunks));
-  in.read(reinterpret_cast<char*>(&total_invocations_),
-          sizeof(total_invocations_));
-  uint32_t version = 0;
-  char magic[4];
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kTrailerMagic, sizeof(kTrailerMagic)) != 0)
-    throw std::runtime_error("ChunkedTraceReader: bad trailer (unfinished or "
-                             "not an SRTC file): " +
-                             path);
-  if (version != kVersion)
-    throw std::runtime_error("ChunkedTraceReader: unsupported version: " +
-                             path);
-  const uint64_t footer_end = impl_->file_size - kTrailerBytes;
+  const std::string trailer_bytes =
+      ReadAt(in, file_size - kTrailerBytes, kTrailerBytes, path);
+  const std::string where = "ChunkedTraceReader: " + path;
+  PayloadCursor trailer(trailer_bytes, where);
+  const uint64_t footer_offset = trailer.Read<uint64_t>();
+  const uint64_t num_chunks = trailer.Read<uint64_t>();
+  total_invocations_ = trailer.Read<uint64_t>();
+  const uint32_t version = trailer.Read<uint32_t>();
+  if (trailer.Bytes(sizeof(kTrailerMagic)) !=
+      std::string_view(kTrailerMagic, sizeof(kTrailerMagic)))
+    trailer.Fail("bad trailer magic (unfinished or not an SRTC file)");
+  if (version != kVersion) trailer.Fail("unsupported version");
+  const uint64_t footer_end = file_size - kTrailerBytes;
   if (footer_offset > footer_end ||
       num_chunks > (footer_end - footer_offset) / kFooterRecordBytes ||
       num_chunks * kFooterRecordBytes != footer_end - footer_offset)
-    throw std::runtime_error("ChunkedTraceReader: inconsistent footer: " +
-                             path);
+    trailer.Fail("inconsistent footer");
 
-  // Header.
-  in.seekg(0);
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("ChunkedTraceReader: bad magic: " + path);
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || version != kVersion)
-    throw std::runtime_error("ChunkedTraceReader: unsupported version: " +
-                             path);
-  in.read(reinterpret_cast<char*>(&chunk_invocations_),
-          sizeof(chunk_invocations_));
-  if (!in || chunk_invocations_ == 0)
-    throw std::runtime_error("ChunkedTraceReader: corrupt chunk capacity: " +
-                             path);
-  header_.SetWorkloadName(
-      ReadFileString(in, impl_->file_size, "workload name"));
-  uint32_t num_types = 0;
-  in.read(reinterpret_cast<char*>(&num_types), sizeof(num_types));
-  if (!in || num_types > impl_->file_size / (3 * sizeof(uint32_t)))
-    throw std::runtime_error("ChunkedTraceReader: corrupt kernel-type count: " +
-                             path);
+  // Footer index: its size was just checked against the file.
+  const std::string footer_bytes =
+      ReadAt(in, footer_offset, footer_end - footer_offset, path);
+  PayloadCursor footer(footer_bytes, where);
+  chunks_.resize(num_chunks);
+  for (ChunkInfo& c : chunks_) {
+    c.offset = footer.Read<uint64_t>();
+    c.count = footer.Read<uint64_t>();
+    c.digest = footer.Read<uint64_t>();
+  }
+
+  // Header: every byte before the first chunk (or the footer).
+  const uint64_t header_end =
+      chunks_.empty() ? footer_offset : chunks_[0].offset;
+  if (header_end > footer_offset) footer.Fail("chunk 0 index out of bounds");
+  const std::string header_bytes = ReadAt(in, 0, header_end, path);
+  PayloadCursor head(header_bytes, where);
+  if (head.Bytes(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic)))
+    head.Fail("bad header magic");
+  if (head.Read<uint32_t>() != kVersion) head.Fail("unsupported version");
+  chunk_invocations_ = head.Read<uint64_t>();
+  if (chunk_invocations_ == 0) head.Fail("corrupt chunk capacity");
+  key_ = head.ReadString(kMaxTraceKeyBytes, "key");
+  header_.SetWorkloadName(head.ReadString(head.Remaining(), "workload name"));
+  const uint32_t num_types = head.Read<uint32_t>();
+  if (num_types > head.Remaining() / kTypeMinBytes)
+    head.Fail("corrupt kernel-type count");
   for (uint32_t k = 0; k < num_types; ++k) {
     KernelType type;
-    type.name = ReadFileString(in, impl_->file_size, "kernel-type name");
-    in.read(reinterpret_cast<char*>(&type.num_basic_blocks),
-            sizeof(type.num_basic_blocks));
-    uint32_t weights = 0;
-    in.read(reinterpret_cast<char*>(&weights), sizeof(weights));
-    if (!in || weights > impl_->file_size / sizeof(float))
-      throw std::runtime_error(
-          "ChunkedTraceReader: corrupt block-weight count: " + path);
+    type.name = head.ReadString(head.Remaining(), "kernel-type name");
+    type.num_basic_blocks = head.Read<uint32_t>();
+    const uint32_t weights = head.Read<uint32_t>();
+    if (weights > head.Remaining() / sizeof(float))
+      head.Fail("corrupt block-weight count");
     type.block_weights.resize(weights);
-    in.read(reinterpret_cast<char*>(type.block_weights.data()),
-            static_cast<std::streamsize>(weights * sizeof(float)));
-    if (!in)
-      throw std::runtime_error("ChunkedTraceReader: truncated header: " +
-                               path);
+    head.ReadColumn<float>(
+        weights, [&](uint64_t i, float w) { type.block_weights[i] = w; });
     header_.AddKernelType(std::move(type));
   }
+  if (head.Remaining() != 0) head.Fail("trailing bytes after the header");
 
-  // Footer index.
-  in.seekg(static_cast<std::streamoff>(footer_offset));
-  chunks_.resize(num_chunks);
+  // The chunks tile [header_end, footer_offset) back to back; every chunk
+  // but the last is full.
+  uint64_t next = header_end;
   uint64_t running_total = 0;
-  for (uint64_t i = 0; i < num_chunks; ++i) {
-    ChunkInfo& c = chunks_[i];
-    in.read(reinterpret_cast<char*>(&c.offset), sizeof(c.offset));
-    in.read(reinterpret_cast<char*>(&c.count), sizeof(c.count));
-    in.read(reinterpret_cast<char*>(&c.digest), sizeof(c.digest));
-    if (!in)
-      throw std::runtime_error("ChunkedTraceReader: truncated footer: " + path);
-    const uint64_t payload_bytes =
-        sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
-    if (c.offset > footer_offset || payload_bytes > footer_offset - c.offset ||
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    const ChunkInfo& c = chunks_[i];
+    const uint64_t room = footer_offset - next;
+    if (c.offset != next || room < sizeof(uint64_t) ||
+        c.count > (room - sizeof(uint64_t)) / kColumnarBytesPerInvocation ||
         c.count > chunk_invocations_ ||
-        (c.count < chunk_invocations_ && i + 1 != num_chunks))
-      throw std::runtime_error("ChunkedTraceReader: chunk " +
-                               std::to_string(i) +
-                               " index out of bounds: " + path);
+        (c.count < chunk_invocations_ && i + 1 != chunks_.size()))
+      footer.Fail("chunk " + std::to_string(i) + " index out of bounds");
+    next += sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
     running_total += c.count;
   }
+  if (next != footer_offset)
+    footer.Fail("chunks do not end at the footer");
   if (running_total != total_invocations_)
-    throw std::runtime_error(
-        "ChunkedTraceReader: chunk counts disagree with trailer total: " +
-        path);
+    footer.Fail("chunk counts disagree with trailer total");
 }
 
 ChunkedTraceReader::~ChunkedTraceReader() = default;
 
 std::string ChunkedTraceReader::ReadChunkPayload(size_t i) const {
   const ChunkInfo& c = chunks_.at(i);
-  const uint64_t payload_bytes =
-      sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
-  std::string payload(payload_bytes, '\0');
-  std::ifstream& in = impl_->in;
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(c.offset));
-  in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!in)
-    throw std::runtime_error("ChunkedTraceReader: short read of chunk " +
-                             std::to_string(i) + ": " + path_);
+  std::string payload =
+      ReadAt(impl_->in, c.offset,
+             sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation, path_);
   if (Fnv1a64(payload) != c.digest)
     throw std::runtime_error("ChunkedTraceReader: digest mismatch on chunk " +
                              std::to_string(i) + " (corrupt data): " + path_);
@@ -542,12 +568,41 @@ std::vector<KernelInvocation> ReplicatedChunkSource::Chunk(size_t i) const {
 // ---------------------------------------------------------------------------
 
 size_t SpillTraceChunked(const KernelTrace& trace, const std::string& path,
-                         uint64_t chunk_invocations) {
-  ChunkedTraceWriter writer(path, trace, chunk_invocations);
+                         uint64_t chunk_invocations, std::string_view key) {
+  ChunkedTraceWriter writer(path, trace, chunk_invocations, key);
   writer.Append(trace.Invocations());
   writer.Finish();
   const uint64_t cap = writer.ChunkCapacity();
   return static_cast<size_t>((trace.NumInvocations() + cap - 1) / cap);
+}
+
+TraceEntryInfo EnsureTraceEntry(const std::string& path, std::string_view key,
+                                const KernelTrace& trace,
+                                uint64_t chunk_invocations) {
+  TraceEntryInfo info;
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
+    try {
+      const ChunkedTraceReader reader(path);
+      bool good = reader.Key() == key &&
+                  reader.ChunkCapacity() == chunk_invocations &&
+                  reader.NumInvocations() == trace.NumInvocations();
+      for (size_t i = 0; good && i < reader.NumChunks(); ++i)
+        good = reader.VerifyChunk(i);
+      if (good) {
+        info.chunks = reader.NumChunks();
+        info.bytes = std::filesystem::file_size(path, ec);
+        info.reused = true;
+        return info;
+      }
+    } catch (const std::exception& e) {
+      Warn("trace entry: unreadable, rebuilding: %s", e.what());
+    }
+    info.rebuilt = true;
+  }
+  info.chunks = SpillTraceChunked(trace, path, chunk_invocations, key);
+  info.bytes = std::filesystem::file_size(path, ec);
+  return info;
 }
 
 KernelTrace AssembleTrace(const ChunkSource& source) {

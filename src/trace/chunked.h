@@ -1,22 +1,27 @@
 /// \file
-/// Chunked, columnar, out-of-core trace storage -- the on-disk format and
-/// the chunk-iterator abstraction that let the pipeline stream a
-/// billion-invocation workload past the engine in bounded memory
-/// (ROADMAP item 2, DESIGN.md §16).
+/// The one on-disk trace format ("SRTC") and the chunk-iterator
+/// abstraction that lets the pipeline stream a billion-invocation workload
+/// past the engine in bounded memory (DESIGN.md §11 and §16).
 ///
-/// # The "SRTC" file format (version 1, explicitly little-endian)
+/// # The "SRTC" file format (version 2, explicitly little-endian)
 ///
 ///   [header]
 ///     magic "SRTC" | u32 version | u64 chunk_capacity |
-///     workload name (u32 len + bytes) | u32 num_types |
+///     key (u32 len + bytes) | workload name (u32 len + bytes) |
+///     u32 num_types |
 ///     per type: name (u32 len + bytes) | u32 num_basic_blocks |
 ///               u32 num_weights | f32 weights[num_weights]
 ///   [chunk 0] .. [chunk N-1]     -- back-to-back chunk payloads
 ///   [footer]
 ///     per chunk: u64 offset | u64 count | u64 digest
-///   [trailer]  (fixed 36 bytes at end of file)
+///   [trailer]  (fixed 32 bytes at end of file)
 ///     u64 footer_offset | u64 num_chunks | u64 total_invocations |
 ///     u32 version | magic "SRTF"
+///
+/// `key` echoes the full content key of a trace entry (the trace-cache
+/// key string, eval/trace_cache.h) so a file reached through a digest
+/// collision or a rename is never served as the wrong trace; files the
+/// CLI writes carry an empty key.
 ///
 /// Each chunk payload is self-delimiting and columnar:
 ///
@@ -37,13 +42,16 @@
 /// immutable file). The invocation `seq` field is implicit: chunk i spans
 /// global indices [i * chunk_capacity, i * chunk_capacity + count).
 ///
-/// Failure contract mirrors the artifact cache (common/cache.h): any
-/// defect found while *opening* a file (bad magic/version, inconsistent
-/// footer, offsets outside the file) or while *reading* a chunk (short
-/// read, digest mismatch) throws std::runtime_error. Callers that treat a
-/// chunked file as a cache entry (eval::Pipeline's spill reuse) catch and
-/// rebuild -- corrupt bytes on disk can only cost a recompute, never
-/// serve wrong data (the PR 5 corrupt-entry-is-a-miss contract).
+/// Failure contract: any defect found while *opening* a file (bad
+/// magic/version, a length or count prefix larger than the bytes left,
+/// inconsistent footer, chunks not back to back) or while *reading* a
+/// chunk (short read, digest mismatch) throws std::runtime_error. Every
+/// prefix is checked before any allocation is sized from it. Writers
+/// publish atomically: bytes go to a temp file in the same directory that
+/// Finish() renames into place, so a reader never sees a partial file at
+/// the final path. Callers that treat a file as a cache entry
+/// (EnsureTraceEntry, eval::TraceCache) catch and rebuild -- corrupt
+/// bytes on disk can only cost a recompute, never serve wrong data.
 ///
 /// # ChunkSource
 ///
@@ -75,11 +83,14 @@
 
 namespace stemroot {
 
-/// Version tag of the "SRTC" chunked trace format.
-uint32_t ChunkedTraceFormatVersion();
+/// Version tag of the "SRTC" trace format.
+uint32_t SrtcFormatVersion();
 
 /// Default invocations per chunk (2^20 invocations ~= 96 MiB resident).
 inline constexpr uint64_t kDefaultChunkInvocations = 1u << 20;
+
+/// Longest key a file may echo (a trace-cache key is about 100 bytes).
+inline constexpr uint32_t kMaxTraceKeyBytes = 1u << 16;
 
 /// Bytes one invocation occupies in a chunk payload (the columnar record).
 uint64_t ChunkWireBytesPerInvocation();
@@ -105,12 +116,15 @@ std::vector<KernelInvocation> DecodeChunk(std::string_view payload,
 /// Streaming writer: header up front, invocations appended in timeline
 /// order, chunks flushed as they fill, footer on Finish(). `header`
 /// supplies the workload name and kernel-type table; its invocations are
-/// ignored. A file is only valid after Finish() -- an abandoned writer
-/// leaves a footerless file every reader rejects.
+/// ignored. `key` is echoed in the header (at most kMaxTraceKeyBytes).
+/// Everything goes to a unique temp file next to `path`; Finish() renames
+/// it into place, so `path` only ever holds a complete file. A writer
+/// destroyed without Finish() deletes its temp file and publishes nothing.
 class ChunkedTraceWriter {
  public:
   ChunkedTraceWriter(const std::string& path, const KernelTrace& header,
-                     uint64_t chunk_invocations = kDefaultChunkInvocations);
+                     uint64_t chunk_invocations = kDefaultChunkInvocations,
+                     std::string_view key = {});
   ~ChunkedTraceWriter();
 
   ChunkedTraceWriter(const ChunkedTraceWriter&) = delete;
@@ -124,16 +138,16 @@ class ChunkedTraceWriter {
   uint64_t NumAppended() const { return appended_; }
   uint64_t ChunkCapacity() const { return chunk_invocations_; }
 
-  /// Flush the partial tail chunk and write the footer + trailer.
-  /// Idempotent; called by the destructor only if never called (best
-  /// effort -- call explicitly to observe failures). Throws
-  /// std::runtime_error on I/O failure.
+  /// Flush the partial tail chunk, write the footer + trailer, and rename
+  /// the temp file to the final path. Idempotent. Throws
+  /// std::runtime_error on I/O failure; the writer then publishes nothing.
   void Finish();
 
  private:
   void FlushChunk();
 
   std::string path_;
+  std::string tmp_path_;
   uint64_t chunk_invocations_ = 0;
   uint64_t appended_ = 0;
   bool finished_ = false;
@@ -156,6 +170,8 @@ class ChunkedTraceReader {
   ChunkedTraceReader& operator=(const ChunkedTraceReader&) = delete;
 
   const std::string& Path() const { return path_; }
+  /// The key echoed in the header ("" for files the CLI writes).
+  const std::string& Key() const { return key_; }
   /// Workload name + kernel-type table (zero invocations).
   const KernelTrace& Header() const { return header_; }
   uint64_t NumInvocations() const { return total_invocations_; }
@@ -168,8 +184,7 @@ class ChunkedTraceReader {
   /// short read or digest mismatch.
   std::vector<KernelInvocation> ReadChunk(size_t i) const;
 
-  /// Raw verified payload bytes of chunk i (the chunk-cache
-  /// representation). Throws like ReadChunk.
+  /// Raw verified payload bytes of chunk i. Throws like ReadChunk.
   std::string ReadChunkPayload(size_t i) const;
 
   /// Digest-check chunk i without materializing invocations; false on
@@ -178,6 +193,7 @@ class ChunkedTraceReader {
 
  private:
   std::string path_;
+  std::string key_;
   KernelTrace header_;
   uint64_t chunk_invocations_ = 0;
   uint64_t total_invocations_ = 0;
@@ -281,9 +297,29 @@ class ReplicatedChunkSource : public ChunkSource {
 // Whole-trace helpers
 // ---------------------------------------------------------------------------
 
-/// Write an in-memory trace as a chunked file. Returns chunks written.
+/// Write an in-memory trace as a chunked file (atomically, see
+/// ChunkedTraceWriter) echoing `key`. Returns chunks written.
 size_t SpillTraceChunked(const KernelTrace& trace, const std::string& path,
-                         uint64_t chunk_invocations = kDefaultChunkInvocations);
+                         uint64_t chunk_invocations = kDefaultChunkInvocations,
+                         std::string_view key = {});
+
+/// What EnsureTraceEntry left at its path.
+struct TraceEntryInfo {
+  uint64_t chunks = 0;    ///< chunks in the file
+  uint64_t bytes = 0;     ///< file size
+  bool reused = false;    ///< a verified entry was already in place
+  bool rebuilt = false;   ///< a defective entry was overwritten
+};
+
+/// The one owner of an on-disk trace entry -- a trace-cache entry or a
+/// pipeline spill. An existing file at `path` is reused only when it
+/// opens, echoes `key`, has `chunk_invocations` capacity, holds as many
+/// invocations as `trace`, and every chunk digest verifies. Anything less
+/// is rebuilt from `trace` through SpillTraceChunked (temp file + rename).
+/// Throws std::runtime_error when the write fails.
+TraceEntryInfo EnsureTraceEntry(const std::string& path, std::string_view key,
+                                const KernelTrace& trace,
+                                uint64_t chunk_invocations);
 
 /// Reassemble a full in-memory trace from any chunk source (tests and
 /// small traces only -- this is exactly the materialization streaming

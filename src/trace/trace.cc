@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "common/csv.h"
+#include "common/str.h"
+
 namespace stemroot {
 
 uint32_t KernelTrace::AddKernelType(KernelType type) {
@@ -62,6 +65,26 @@ std::vector<std::vector<uint32_t>> KernelTrace::GroupByKernel() const {
   for (size_t i = 0; i < invocations_.size(); ++i)
     groups[invocations_[i].kernel_id].push_back(static_cast<uint32_t>(i));
   return groups;
+}
+
+void ExportTimelineCsv(const KernelTrace& trace, const std::string& path) {
+  CsvWriter csv(path);
+  csv.WriteHeader({"kernel", "seq", "duration_us", "grid", "block",
+                   "instructions"});
+  // Kernel names are the one externally-controlled cell: CsvWriter::
+  // WriteRow applies RFC-4180 quoting to every cell, so names carrying
+  // commas, quotes, or newlines round-trip through CsvTable::Parse
+  // (pinned by the hostile-name test in tests/trace/serialize_test.cc).
+  for (const KernelInvocation& inv : trace.Invocations()) {
+    csv.WriteRow({trace.NameOf(inv), std::to_string(inv.seq),
+                  Format("%.4f", inv.duration_us),
+                  Format("%ux%ux%u", inv.launch.grid_x, inv.launch.grid_y,
+                         inv.launch.grid_z),
+                  Format("%ux%ux%u", inv.launch.block_x, inv.launch.block_y,
+                         inv.launch.block_z),
+                  std::to_string(inv.behavior.instructions)});
+  }
+  csv.Flush();
 }
 
 }  // namespace stemroot

@@ -95,4 +95,9 @@ class KernelTrace {
   std::vector<KernelInvocation> invocations_;
 };
 
+/// Export the profiled timeline as CSV (header: kernel,seq,duration_us,
+/// grid,block,instructions), mirroring what an Nsight Systems export looks
+/// like, for external plotting. Throws std::runtime_error on I/O failure.
+void ExportTimelineCsv(const KernelTrace& trace, const std::string& path);
+
 }  // namespace stemroot

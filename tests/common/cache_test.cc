@@ -1,39 +1,9 @@
 #include "common/cache.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
-#include <thread>
 
 namespace stemroot {
 namespace {
-
-namespace fs = std::filesystem;
-
-class ArtifactCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("sr_cache_test_" +
-            std::to_string(
-                std::hash<std::thread::id>{}(std::this_thread::get_id())) +
-            "_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed() +
-                counter_++));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string DirStr() const { return dir_.string(); }
-
-  fs::path dir_;
-  static int counter_;
-};
-
-int ArtifactCacheTest::counter_ = 0;
 
 TEST(Fnv1a64Test, KnownValuesAndSensitivity) {
   // FNV-1a offset basis for the empty string.
@@ -48,157 +18,6 @@ TEST(HexDigest64Test, FixedWidthLowercase) {
   EXPECT_EQ(HexDigest64(0), "0000000000000000");
   EXPECT_EQ(HexDigest64(0xDEADBEEFULL), "00000000deadbeef");
   EXPECT_EQ(HexDigest64(~0ULL), "ffffffffffffffff");
-}
-
-TEST_F(ArtifactCacheTest, MissOnEmptyCacheThenRoundTrip) {
-  ArtifactCache cache(DirStr());
-  EXPECT_FALSE(cache.Get("key-1").has_value());
-
-  const std::string payload = "binary\0payload\xff with bytes";
-  cache.Put("key-1", payload);
-  const std::optional<std::string> got = cache.Get("key-1");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
-  EXPECT_TRUE(cache.Contains("key-1"));
-  EXPECT_FALSE(cache.Contains("key-2"));
-}
-
-TEST_F(ArtifactCacheTest, PutReplacesExistingEntry) {
-  ArtifactCache cache(DirStr());
-  cache.Put("k", "first");
-  cache.Put("k", "second");
-  const std::optional<std::string> got = cache.Get("k");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "second");
-  EXPECT_EQ(cache.GetStats().entries, 1u);
-}
-
-TEST_F(ArtifactCacheTest, EmptyPayloadRoundTrips) {
-  ArtifactCache cache(DirStr());
-  cache.Put("empty", "");
-  const std::optional<std::string> got = cache.Get("empty");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->empty());
-}
-
-TEST_F(ArtifactCacheTest, NoTempFileResidueAfterPut) {
-  ArtifactCache cache(DirStr());
-  cache.Put("k", "payload");
-  size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    ++files;
-    EXPECT_EQ(entry.path().extension(), ".srce") << entry.path();
-  }
-  EXPECT_EQ(files, 1u);
-}
-
-TEST_F(ArtifactCacheTest, TruncatedEntryIsAMiss) {
-  ArtifactCache cache(DirStr());
-  cache.Put("k", std::string(1024, 'x'));
-  const std::string path = cache.EntryPath("k");
-  fs::resize_file(path, 32);
-  EXPECT_FALSE(cache.Get("k").has_value());
-  // The defective entry can be overwritten and works again.
-  cache.Put("k", "fresh");
-  ASSERT_TRUE(cache.Get("k").has_value());
-  EXPECT_EQ(*cache.Get("k"), "fresh");
-}
-
-TEST_F(ArtifactCacheTest, EvenHeaderOnlyTruncationIsAMiss) {
-  ArtifactCache cache(DirStr());
-  cache.Put("k", "payload");
-  fs::resize_file(cache.EntryPath("k"), 3);  // shorter than the magic
-  EXPECT_FALSE(cache.Get("k").has_value());
-  fs::resize_file(cache.EntryPath("k"), 0);
-  EXPECT_FALSE(cache.Get("k").has_value());
-}
-
-TEST_F(ArtifactCacheTest, FlippedPayloadByteIsAMiss) {
-  ArtifactCache cache(DirStr());
-  cache.Put("k", std::string(256, 'y'));
-  const std::string path = cache.EntryPath("k");
-  // Flip one byte near the end (inside the payload).
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(f.is_open());
-  f.seekp(-5, std::ios::end);
-  f.put('Z');
-  f.close();
-  EXPECT_FALSE(cache.Get("k").has_value());
-}
-
-TEST_F(ArtifactCacheTest, WrongKeyInEntryIsAMiss) {
-  ArtifactCache cache(DirStr());
-  cache.Put("real-key", "payload");
-  // Simulate a digest collision / renamed file: the entry for "real-key"
-  // placed where another key's digest points.
-  fs::copy_file(cache.EntryPath("real-key"), cache.EntryPath("other-key"));
-  EXPECT_FALSE(cache.Get("other-key").has_value());
-  EXPECT_TRUE(cache.Get("real-key").has_value());
-}
-
-TEST_F(ArtifactCacheTest, GarbageFileIsAMissNotACrash) {
-  ArtifactCache cache(DirStr());
-  fs::create_directories(dir_);
-  std::ofstream(cache.EntryPath("k"), std::ios::binary)
-      << "this is not an SRCE entry at all";
-  EXPECT_FALSE(cache.Get("k").has_value());
-}
-
-TEST_F(ArtifactCacheTest, StatsCountEntriesAndBytes) {
-  ArtifactCache cache(DirStr());
-  EXPECT_EQ(cache.GetStats().entries, 0u);  // missing dir == empty cache
-  cache.Put("a", std::string(100, 'a'));
-  cache.Put("b", std::string(200, 'b'));
-  const ArtifactCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_GT(stats.bytes, 300u);  // payloads + headers
-}
-
-TEST_F(ArtifactCacheTest, VerifyReportsCorruptEntries) {
-  ArtifactCache cache(DirStr());
-  cache.Put("good", "payload");
-  cache.Put("bad", std::string(512, 'b'));
-  fs::resize_file(cache.EntryPath("bad"), 40);
-
-  const std::vector<ArtifactCache::EntryInfo> report = cache.Verify();
-  ASSERT_EQ(report.size(), 2u);
-  size_t valid = 0, invalid = 0;
-  for (const ArtifactCache::EntryInfo& info : report) {
-    if (info.valid) {
-      ++valid;
-      EXPECT_TRUE(info.problem.empty());
-    } else {
-      ++invalid;
-      EXPECT_FALSE(info.problem.empty());
-    }
-  }
-  EXPECT_EQ(valid, 1u);
-  EXPECT_EQ(invalid, 1u);
-}
-
-TEST_F(ArtifactCacheTest, EvictAllAndEvictToBudget) {
-  ArtifactCache cache(DirStr());
-  cache.Put("a", std::string(1000, 'a'));
-  cache.Put("b", std::string(1000, 'b'));
-  cache.Put("c", std::string(1000, 'c'));
-  EXPECT_EQ(cache.GetStats().entries, 3u);
-
-  // Shrink to roughly one entry's footprint: at least one must go.
-  const uint64_t removed = cache.Evict(1200);
-  EXPECT_GE(removed, 1u);
-  EXPECT_LE(cache.GetStats().bytes, 1200u);
-
-  cache.Evict(0);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-}
-
-TEST_F(ArtifactCacheTest, PutIntoUnwritableDirThrows) {
-  if (::geteuid() == 0) GTEST_SKIP() << "root ignores directory modes";
-  fs::create_directories(dir_);
-  fs::permissions(dir_, fs::perms::owner_read | fs::perms::owner_exec);
-  ArtifactCache cache(DirStr());
-  EXPECT_THROW(cache.Put("k", "payload"), std::runtime_error);
-  fs::permissions(dir_, fs::perms::owner_all);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "hw/gpu_spec.h"
 #include "hw/hardware_model.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 #include "workloads/suite.h"
 
 namespace stemroot::eval {
@@ -45,6 +44,18 @@ void ExpectSameResult(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(Bits(a.true_total_us), Bits(b.true_total_us));
   EXPECT_EQ(a.num_samples, b.num_samples);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
+}
+
+/// The canonical bytes of a trace: its SRTC file.
+std::string TraceBytes(const KernelTrace& trace) {
+  const std::string path =
+      testing::TempDir() + "/" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_bytes.srtc";
+  SpillTraceChunked(trace, path);
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 TraceCacheKey MakeKey() {
@@ -149,7 +160,7 @@ TEST_F(TraceCacheTest, StoreLoadRoundTripsTheExactBytes) {
   EXPECT_TRUE(cache.Store(key, cold.Trace()));
   const std::optional<KernelTrace> warm = cache.Load(key);
   ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(SerializeTrace(*warm), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(TraceBytes(*warm), TraceBytes(cold.Trace()));
 }
 
 TEST_F(TraceCacheTest, GenerateProfiledColdThenWarmIsByteIdentical) {
@@ -159,11 +170,11 @@ TEST_F(TraceCacheTest, GenerateProfiledColdThenWarmIsByteIdentical) {
 
   const Pipeline cold =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(OnlyEntry().extension(), ".srce");
+  EXPECT_EQ(OnlyEntry().extension(), ".srtc");
 
   const Pipeline warm =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(warm.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(TraceBytes(warm.Trace()), TraceBytes(cold.Trace()));
   EXPECT_TRUE(warm.Profiled());
   EXPECT_EQ(warm.SuiteName(), cold.SuiteName());
   EXPECT_EQ(warm.WorkloadName(), cold.WorkloadName());
@@ -182,19 +193,19 @@ TEST_F(TraceCacheTest, WarmHitIsByteIdenticalAtAnyThreadCount) {
 
   SetNumThreads(1);
   const std::string cold =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+      TraceBytes(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
                                                 options)
                          .Trace());
   SetNumThreads(4);
   const std::string warm =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+      TraceBytes(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
                                                 options)
                          .Trace());
   // And uncached at yet another thread count for the same bytes.
   SetTraceCacheDir("none");
   SetNumThreads(3);
   const std::string uncached =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+      TraceBytes(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
                                                 options)
                          .Trace());
   EXPECT_EQ(cold, warm);
@@ -251,7 +262,7 @@ TEST_F(TraceCacheTest, TruncatedEntryFallsBackToRecompute) {
 
   const Pipeline again =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(again.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(TraceBytes(again.Trace()), TraceBytes(cold.Trace()));
   // The recompute re-stored a valid entry; the next run hits it.
   const TraceCache cache(DirStr());
   EXPECT_TRUE(cache.Load(MakeKey()).has_value());
@@ -264,16 +275,25 @@ TEST_F(TraceCacheTest, ChecksumMismatchFallsBackToRecompute) {
 
   const Pipeline cold =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
+  // Flip the first kernel-id byte of the chunk payload: the chunk digest
+  // no longer matches, so the load is a miss and the run recomputes.
+  const ChunkInfo chunk = ChunkedTraceReader(OnlyEntry().string()).Chunk(0);
   {
     std::fstream f(OnlyEntry(),
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
-    f.seekp(-9, std::ios::end);
-    f.put('\x5a');
+    f.seekg(static_cast<std::streamoff>(chunk.offset + 8));
+    const char byte = static_cast<char>(f.get());
+    f.seekp(static_cast<std::streamoff>(chunk.offset + 8));
+    f.put(static_cast<char>(byte ^ 0x5a));
   }
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
   const Pipeline again =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(again.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(telemetry::Capture().Counter("cache.corrupt"), 1u);
+  EXPECT_EQ(TraceBytes(again.Trace()), TraceBytes(cold.Trace()));
+  EXPECT_TRUE(TraceCache(DirStr()).Load(MakeKey()).has_value());
 }
 
 TEST_F(TraceCacheTest, StaleBuildStampIsUnreachableNotServed) {
@@ -300,66 +320,230 @@ TEST_F(TraceCacheTest, DisabledCacheWritesNothing) {
   EXPECT_FALSE(fs::exists(dir_));
 }
 
-// ---------------------------------------------------------------------------
-// Chunk entries (trace/chunked.h payloads in the content-addressed store)
-
-TEST(TraceCacheKeyTest, ChunkKeyCoversBaseKeyVersionAndIndex) {
-  const TraceCacheKey base = MakeKey();
-  const std::string chunk0 = ChunkKeyString(base, 0);
-  const std::string chunk1 = ChunkKeyString(base, 1);
-  // The chunk key extends the whole-trace key: same invalidation story
-  // (seed, build stamp, gpu digest...), plus format version and index.
-  EXPECT_EQ(chunk0.rfind(base.KeyString(), 0), 0u);
-  EXPECT_NE(chunk0, chunk1);
-  EXPECT_NE(chunk0.find("srtc"), std::string::npos);
-  TraceCacheKey other = base;
-  other.seed = kSeed + 1;
-  EXPECT_NE(ChunkKeyString(other, 0), chunk0);
-}
-
-TEST_F(TraceCacheTest, ChunkStoreLoadRoundTripsTheExactBytes) {
-  const TraceCache cache(DirStr());
-  const TraceCacheKey key = MakeKey();
-  KernelTrace trace("wl");
-  const uint32_t k = trace.InternKernel("k");
-  for (int i = 0; i < 5; ++i) {
-    KernelInvocation inv;
-    inv.kernel_id = k;
-    inv.duration_us = 1.0 + i;
-    trace.Add(inv);
-  }
-  const std::string payload = EncodeChunk(trace.Invocations());
-  EXPECT_FALSE(cache.LoadChunk(key, 0).has_value());  // cold miss
-  ASSERT_TRUE(cache.StoreChunk(key, 0, payload));
-  const auto loaded = cache.LoadChunk(key, 0);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, payload);
-  // Chunk indices are distinct entries.
-  EXPECT_FALSE(cache.LoadChunk(key, 1).has_value());
-}
-
-TEST_F(TraceCacheTest, CorruptChunkPayloadIsAMiss) {
-  const TraceCache cache(DirStr());
-  const TraceCacheKey key = MakeKey();
-  // A stored payload whose count prefix lies about the bytes available
-  // must come back as a plain miss (decode-validated on load), never be
-  // served to a chunk consumer -- the corrupt-entry-is-a-miss contract
-  // extended to chunk granularity.
-  KernelInvocation inv;
-  inv.duration_us = 2.0;
-  std::string payload = EncodeChunk(std::span<const KernelInvocation>(&inv, 1));
-  payload.resize(payload.size() / 2);  // truncate mid-record
-  ASSERT_TRUE(cache.StoreChunk(key, 3, payload));
-  EXPECT_FALSE(cache.LoadChunk(key, 3).has_value());
-}
-
 TEST_F(TraceCacheTest, SetTraceCacheDirTogglesTheDefault) {
   EXPECT_EQ(DefaultTraceCache(), nullptr);
   SetTraceCacheDir(DirStr());
   ASSERT_NE(DefaultTraceCache(), nullptr);
-  EXPECT_EQ(DefaultTraceCache()->Artifacts().Dir(), DirStr());
+  EXPECT_EQ(DefaultTraceCache()->Dir(), DirStr());
   SetTraceCacheDir("");
   EXPECT_EQ(DefaultTraceCache(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The entry files: one "<key digest>.srtc" per key, with the
+// stats/verify/evict sweeps behind `stemroot cache`.
+
+class ArtifactCacheTest : public TraceCacheTest {
+ protected:
+  static TraceCacheKey Key(const std::string& workload) {
+    TraceCacheKey key = MakeKey();
+    key.workload = workload;
+    return key;
+  }
+
+  static KernelTrace Tiny(int n) {
+    KernelTrace trace("tiny");
+    const uint32_t k = trace.InternKernel("k");
+    for (int i = 0; i < n; ++i) {
+      KernelInvocation inv;
+      inv.kernel_id = k;
+      inv.duration_us = 1.0 + i;
+      trace.Add(inv);
+    }
+    return trace;
+  }
+
+  /// Load must miss and count the entry as corrupt.
+  static void ExpectCorruptMiss(const TraceCache& cache,
+                                const TraceCacheKey& key) {
+    telemetry::SetEnabled(true);
+    telemetry::Reset();
+    EXPECT_FALSE(cache.Load(key).has_value());
+    const telemetry::Snapshot snap = telemetry::Capture();
+    EXPECT_EQ(snap.Counter("cache.miss"), 1u);
+    EXPECT_EQ(snap.Counter("cache.corrupt"), 1u);
+    EXPECT_EQ(snap.Counter("cache.hit"), 0u);
+  }
+};
+
+TEST_F(ArtifactCacheTest, MissOnEmptyCacheThenRoundTrip) {
+  const TraceCache cache(DirStr());
+  EXPECT_FALSE(cache.Load(Key("a")).has_value());
+  ASSERT_TRUE(cache.Store(Key("a"), Tiny(7)));
+  const std::optional<KernelTrace> got = cache.Load(Key("a"));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(TraceBytes(*got), TraceBytes(Tiny(7)));
+  EXPECT_FALSE(cache.Load(Key("b")).has_value());
+}
+
+TEST_F(ArtifactCacheTest, PutReplacesExistingEntry) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(3)));
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(5)));
+  const std::optional<KernelTrace> got = cache.Load(Key("k"));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->NumInvocations(), 5u);
+  EXPECT_EQ(cache.GetStats().entries, 1u);
+}
+
+TEST_F(ArtifactCacheTest, EmptyPayloadRoundTrips) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("empty"), Tiny(0)));
+  const std::optional<KernelTrace> got = cache.Load(Key("empty"));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->NumInvocations(), 0u);
+  EXPECT_EQ(got->NumKernelTypes(), 1u);
+}
+
+TEST_F(ArtifactCacheTest, NoTempFileResidueAfterPut) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(4)));
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(6)));  // a rewrite
+  EXPECT_EQ(OnlyEntry(), fs::path(cache.EntryPath(Key("k"))));
+}
+
+TEST_F(ArtifactCacheTest, TruncatedEntryIsAMiss) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(50)));
+  fs::resize_file(cache.EntryPath(Key("k")), 32);
+  ExpectCorruptMiss(cache, Key("k"));
+  // The defective entry is overwritten and works again.
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(50)));
+  ASSERT_TRUE(cache.Load(Key("k")).has_value());
+}
+
+TEST_F(ArtifactCacheTest, EvenHeaderOnlyTruncationIsAMiss) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(2)));
+  fs::resize_file(cache.EntryPath(Key("k")), 3);  // shorter than the magic
+  ExpectCorruptMiss(cache, Key("k"));
+  fs::resize_file(cache.EntryPath(Key("k")), 0);
+  ExpectCorruptMiss(cache, Key("k"));
+}
+
+TEST_F(ArtifactCacheTest, FlippedPayloadByteIsAMiss) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("k"), Tiny(20)));
+  const std::string path = cache.EntryPath(Key("k"));
+  const ChunkInfo chunk = ChunkedTraceReader(path).Chunk(0);
+  // The last byte of the payload: the final duration's sign byte.
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(static_cast<std::streamoff>(
+      chunk.offset + 8 + chunk.count * ChunkWireBytesPerInvocation() - 1));
+  f.put('Z');
+  f.close();
+  ExpectCorruptMiss(cache, Key("k"));
+}
+
+TEST_F(ArtifactCacheTest, WrongKeyInEntryIsAMiss) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("real"), Tiny(3)));
+  // Simulate a digest collision / renamed file: the entry for "real"
+  // placed where another key's digest points.
+  fs::copy_file(cache.EntryPath(Key("real")), cache.EntryPath(Key("other")));
+  ExpectCorruptMiss(cache, Key("other"));
+  EXPECT_TRUE(cache.Load(Key("real")).has_value());
+}
+
+TEST_F(ArtifactCacheTest, GarbageFileIsAMissNotACrash) {
+  const TraceCache cache(DirStr());
+  fs::create_directories(dir_);
+  std::ofstream(cache.EntryPath(Key("k")), std::ios::binary)
+      << "this is not an SRTC entry at all";
+  ExpectCorruptMiss(cache, Key("k"));
+  // Big enough to hold a fake trailer.
+  std::ofstream(cache.EntryPath(Key("k")), std::ios::binary)
+      << std::string(4096, '\x5a');
+  ExpectCorruptMiss(cache, Key("k"));
+}
+
+TEST_F(ArtifactCacheTest, StatsCountEntriesAndBytes) {
+  const TraceCache cache(DirStr());
+  EXPECT_EQ(cache.GetStats().entries, 0u);  // missing dir == empty cache
+  ASSERT_TRUE(cache.Store(Key("a"), Tiny(10)));
+  ASSERT_TRUE(cache.Store(Key("b"), Tiny(20)));
+  const TraceCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, fs::file_size(cache.EntryPath(Key("a"))) +
+                             fs::file_size(cache.EntryPath(Key("b"))));
+}
+
+TEST_F(ArtifactCacheTest, VerifyReportsCorruptEntries) {
+  const TraceCache cache(DirStr());
+  ASSERT_TRUE(cache.Store(Key("good"), Tiny(3)));
+  ASSERT_TRUE(cache.Store(Key("bad"), Tiny(30)));
+  fs::resize_file(cache.EntryPath(Key("bad")), 40);
+  // A valid file under a name its echoed key does not digest to.
+  fs::copy_file(cache.EntryPath(Key("good")),
+                cache.EntryPath(Key("renamed")));
+
+  const std::vector<TraceCache::EntryInfo> report = cache.Verify();
+  ASSERT_EQ(report.size(), 3u);
+  size_t valid = 0, invalid = 0;
+  for (const TraceCache::EntryInfo& info : report) {
+    if (info.valid) {
+      ++valid;
+      EXPECT_TRUE(info.problem.empty());
+      EXPECT_EQ(dir_ / info.file, fs::path(cache.EntryPath(Key("good"))));
+    } else {
+      ++invalid;
+      EXPECT_FALSE(info.problem.empty());
+    }
+  }
+  EXPECT_EQ(valid, 1u);
+  EXPECT_EQ(invalid, 2u);
+}
+
+TEST_F(ArtifactCacheTest, EvictAllAndEvictToBudget) {
+  const TraceCache cache(DirStr());
+  for (const char* name : {"a", "b", "c"})
+    ASSERT_TRUE(cache.Store(Key(name), Tiny(10)));
+  EXPECT_EQ(cache.GetStats().entries, 3u);
+  const uint64_t one = fs::file_size(cache.EntryPath(Key("a")));
+
+  // Shrink to roughly one entry's footprint: at least one must go.
+  const uint64_t removed = cache.Evict(one + one / 4);
+  EXPECT_GE(removed, 1u);
+  EXPECT_LE(cache.GetStats().bytes, one + one / 4);
+
+  cache.Evict(0);
+  EXPECT_EQ(cache.GetStats().entries, 0u);
+}
+
+TEST_F(ArtifactCacheTest, StoreIntoUnwritableDirReturnsFalse) {
+  // A cache "directory" below a regular file can never be created, for
+  // any user: the store warns and reports failure instead of throwing.
+  fs::create_directories(dir_);
+  std::ofstream(dir_ / "file") << "x";
+  const TraceCache cache((dir_ / "file" / "cache").string());
+  EXPECT_FALSE(cache.Store(Key("k"), Tiny(3)));
+  EXPECT_FALSE(cache.Load(Key("k")).has_value());
+}
+
+TEST_F(ArtifactCacheTest, LegacySrceEntryIsACleanMissVerifiedAndEvicted) {
+  // An entry of the retired whole-trace envelope format, named as that
+  // format named entries: `<key digest>.srce`. Its bytes are never read.
+  const TraceCache cache(DirStr());
+  fs::create_directories(dir_);
+  fs::path legacy = cache.EntryPath(Key("k"));
+  legacy.replace_extension(".srce");
+  std::ofstream(legacy, std::ios::binary) << "retired envelope + payload";
+
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  EXPECT_FALSE(cache.Load(Key("k")).has_value());
+  const telemetry::Snapshot snap = telemetry::Capture();
+  EXPECT_EQ(snap.Counter("cache.miss"), 1u);
+  EXPECT_EQ(snap.Counter("cache.corrupt"), 0u);
+
+  const std::vector<TraceCache::EntryInfo> report = cache.Verify();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].file, legacy.filename().string());
+  EXPECT_FALSE(report[0].valid);
+  EXPECT_EQ(cache.GetStats().entries, 1u);
+  EXPECT_EQ(cache.Evict(0), 1u);
+  EXPECT_FALSE(fs::exists(legacy));
 }
 
 }  // namespace

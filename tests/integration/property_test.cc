@@ -15,7 +15,7 @@
 #include "eval/pipeline.h"
 #include "eval/runner.h"
 #include "hw/hardware_model.h"
-#include "trace/serialize.h"
+#include "trace/chunked.h"
 #include "workloads/context_model.h"
 #include "workloads/rodinia.h"
 #include "workloads/suite.h"
@@ -134,9 +134,9 @@ TEST_P(RoundTripTest, EveryRodiniaWorkloadRoundTrips) {
   hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
   gpu.ProfileTrace(original, 1);
 
-  const std::string path = testing::TempDir() + "/rt_" + name + ".bin";
-  SaveTraceBinary(original, path);
-  const KernelTrace loaded = LoadTraceBinary(path);
+  const std::string path = testing::TempDir() + "/rt_" + name + ".srtc";
+  SpillTraceChunked(original, path, 256);
+  const KernelTrace loaded = AssembleTrace(FileChunkSource(path));
   ASSERT_EQ(loaded.NumInvocations(), original.NumInvocations());
   EXPECT_DOUBLE_EQ(loaded.TotalDurationUs(), original.TotalDurationUs());
 

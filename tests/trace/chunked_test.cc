@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -98,7 +99,7 @@ TEST(ChunkPayloadTest, SingleInvocationRoundTripsWithSeqRebase) {
 TEST(ChunkPayloadTest, HugeCountPrefixThrowsWithoutAllocating) {
   // A hostile count prefix far beyond the payload bytes must throw
   // std::runtime_error from the bounds check, never reach a
-  // count-driven allocation (the serialize.cc hardening contract
+  // count-driven allocation (the header hardening contract
   // applied to the chunk layer).
   std::string payload = EncodeChunk({});
   payload.resize(8);
@@ -277,25 +278,126 @@ TEST(ChunkedFileTest, MissingFileAndGarbageAreRejected) {
   EXPECT_THROW(ChunkedTraceReader{path}, std::runtime_error);
 }
 
+/// Files in `dir` whose name starts with `prefix`.
+size_t CountFiles(const std::filesystem::path& dir, const std::string& prefix) {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  return n;
+}
+
 TEST(ChunkedFileTest, UnfinishedWriterLeavesRejectedFile) {
   const KernelTrace trace = MakeTrace(2);
   const std::string path = TempPath("unfinished.srtc");
+  std::filesystem::remove(path);
   {
     ChunkedTraceWriter writer(path, trace, 4);
     writer.Append(trace.At(0));
-    // No Finish(): destructor finishes best-effort -- emulate a crash by
-    // writing a second, footerless file instead.
+    // No Finish(): the writer is abandoned, as when an exception unwinds.
   }
+  // Nothing was published and the temp file is gone.
+  EXPECT_THROW(ChunkedTraceReader{path}, std::runtime_error);
+  EXPECT_EQ(CountFiles(testing::TempDir(), "unfinished.srtc"), 0u);
+
+  // A crash mid-write leaves at most a footerless file; readers reject it.
+  const std::string full = TempPath("finished.srtc");
+  SpillTraceChunked(trace, full, 4);
   const std::string crashed = TempPath("crashed.srtc");
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(full, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 36u);
+    ASSERT_GT(bytes.size(), 32u);
     std::ofstream(crashed, std::ios::binary)
-        << bytes.substr(0, bytes.size() - 36);  // strip the trailer
+        << bytes.substr(0, bytes.size() - 32);  // strip the trailer
   }
   EXPECT_THROW(ChunkedTraceReader{crashed}, std::runtime_error);
+}
+
+TEST(ChunkedFileTest, WriterPublishesAtomicallyOnFinish) {
+  const std::filesystem::path dir = TempPath("atomic_publish");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "entry.srtc").string();
+  const KernelTrace trace = MakeTrace(5);
+  {
+    ChunkedTraceWriter writer(path, trace, 4, "k1");
+    writer.Append(trace.Invocations());
+    // Every chunk is written, yet the final path does not exist yet.
+    EXPECT_FALSE(std::filesystem::exists(path));
+    writer.Finish();
+  }
+  ExpectTraceEq(AssembleTrace(FileChunkSource(path)), trace);
+
+  // Rewriting the same entry: the old file stays whole and readable until
+  // the new one is renamed over it.
+  {
+    ChunkedTraceWriter writer(path, trace, 3, "k1");
+    writer.Append(trace.Invocations());
+    EXPECT_EQ(ChunkedTraceReader(path).ChunkCapacity(), 4u);
+    ExpectTraceEq(AssembleTrace(FileChunkSource(path)), trace);
+    writer.Finish();
+  }
+  EXPECT_EQ(ChunkedTraceReader(path).ChunkCapacity(), 3u);
+  ExpectTraceEq(AssembleTrace(FileChunkSource(path)), trace);
+  // No temp file is left behind: the directory holds just the entry.
+  EXPECT_EQ(CountFiles(dir, ""), 1u);
+}
+
+TEST(ChunkedFileTest, KeyIsEchoedAndBounded) {
+  const KernelTrace trace = MakeTrace(1);
+  const std::string path = TempPath("keyed.srtc");
+  SpillTraceChunked(trace, path, 8, "suite|workload|seed=1");
+  EXPECT_EQ(ChunkedTraceReader(path).Key(), "suite|workload|seed=1");
+  SpillTraceChunked(trace, path, 8);
+  EXPECT_EQ(ChunkedTraceReader(path).Key(), "");
+  EXPECT_THROW(SpillTraceChunked(trace, path, 8,
+                                 std::string(kMaxTraceKeyBytes + 1, 'k')),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// EnsureTraceEntry: reuse a verified entry, rebuild anything less
+
+TEST(TraceEntryTest, EnsureReusesVerifiedAndRebuildsDefectiveEntries) {
+  const KernelTrace trace = MakeTrace(5);
+  const std::string path = TempPath("ensured.srtc");
+  std::filesystem::remove(path);
+  const uint64_t cap = trace.NumInvocations() / 2 + 1;
+
+  TraceEntryInfo info = EnsureTraceEntry(path, "k1", trace, cap);
+  EXPECT_FALSE(info.reused);
+  EXPECT_FALSE(info.rebuilt);  // nothing was there
+  EXPECT_EQ(info.chunks, 2u);
+  EXPECT_EQ(info.bytes, std::filesystem::file_size(path));
+
+  info = EnsureTraceEntry(path, "k1", trace, cap);
+  EXPECT_TRUE(info.reused);
+  EXPECT_EQ(info.chunks, 2u);
+
+  // Another key or another capacity is not this entry.
+  info = EnsureTraceEntry(path, "k2", trace, cap);
+  EXPECT_TRUE(info.rebuilt);
+  EXPECT_EQ(ChunkedTraceReader(path).Key(), "k2");
+  info = EnsureTraceEntry(path, "k2", trace, cap + 1);
+  EXPECT_TRUE(info.rebuilt);
+
+  // A flipped byte in the last chunk fails its digest: rebuilt.
+  const ChunkInfo last = ChunkedTraceReader(path).Chunk(1);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(last.offset + 9));
+    file.put('\x7f');
+  }
+  info = EnsureTraceEntry(path, "k2", trace, cap + 1);
+  EXPECT_TRUE(info.rebuilt);
+  ExpectTraceEq(AssembleTrace(FileChunkSource(path)), trace);
+
+  // Truncated: rebuilt, and the result reads back whole.
+  std::filesystem::resize_file(path, info.bytes / 2);
+  info = EnsureTraceEntry(path, "k2", trace, cap + 1);
+  EXPECT_TRUE(info.rebuilt);
+  ExpectTraceEq(AssembleTrace(FileChunkSource(path)), trace);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,41 @@
-#include "trace/serialize.h"
+/// \file
+/// Whole-trace serialization: the "SRTC" file round trip
+/// (trace/chunked.h), hostile length prefixes in its header, truncation,
+/// and the timeline CSV export.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 
 #include "common/csv.h"
+#include "trace/chunked.h"
+#include "trace/trace.h"
 #include "workloads/rodinia.h"
 
 namespace stemroot {
 namespace {
 
+/// A temp file private to the running test (ctest runs tests of one
+/// binary in parallel processes).
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
+}
+
+KernelTrace LoadFile(const std::string& path) {
+  return AssembleTrace(FileChunkSource(path));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 TEST(SerializeTest, BinaryRoundTripPreservesEverything) {
@@ -19,9 +43,11 @@ TEST(SerializeTest, BinaryRoundTripPreservesEverything) {
   for (auto& inv : original.MutableInvocations())
     inv.duration_us = static_cast<double>(inv.seq + 1) * 0.5;
 
-  const std::string path = TempPath("trace_roundtrip.bin");
-  SaveTraceBinary(original, path);
-  const KernelTrace loaded = LoadTraceBinary(path);
+  // A small chunk capacity so the timeline spans several chunks.
+  const std::string path = TempPath("trace_roundtrip.srtc");
+  ASSERT_GT(SpillTraceChunked(original, path, 64, "entry-key"), 1u);
+  EXPECT_EQ(ChunkedTraceReader(path).Key(), "entry-key");
+  const KernelTrace loaded = LoadFile(path);
 
   EXPECT_EQ(loaded.WorkloadName(), original.WorkloadName());
   ASSERT_EQ(loaded.NumInvocations(), original.NumInvocations());
@@ -35,49 +61,62 @@ TEST(SerializeTest, BinaryRoundTripPreservesEverything) {
     EXPECT_EQ(a.launch, b.launch);
     EXPECT_EQ(a.behavior.instructions, b.behavior.instructions);
     EXPECT_EQ(a.behavior.footprint_bytes, b.behavior.footprint_bytes);
-    EXPECT_FLOAT_EQ(a.behavior.locality, b.behavior.locality);
-    EXPECT_DOUBLE_EQ(a.duration_us, b.duration_us);
+    EXPECT_EQ(a.behavior.mem_fraction, b.behavior.mem_fraction);
+    EXPECT_EQ(a.behavior.shared_fraction, b.behavior.shared_fraction);
+    EXPECT_EQ(a.behavior.locality, b.behavior.locality);
+    EXPECT_EQ(a.behavior.coalescing, b.behavior.coalescing);
+    EXPECT_EQ(a.behavior.branch_divergence, b.behavior.branch_divergence);
+    EXPECT_EQ(a.behavior.fp16_fraction, b.behavior.fp16_fraction);
+    EXPECT_EQ(a.behavior.fp32_fraction, b.behavior.fp32_fraction);
+    EXPECT_EQ(a.behavior.ilp, b.behavior.ilp);
+    EXPECT_EQ(a.behavior.input_scale, b.behavior.input_scale);
+    EXPECT_EQ(a.behavior.store_fraction, b.behavior.store_fraction);
+    EXPECT_EQ(a.duration_us, b.duration_us);
   }
   for (uint32_t k = 0; k < original.NumKernelTypes(); ++k) {
     EXPECT_EQ(loaded.Type(k).name, original.Type(k).name);
+    EXPECT_EQ(loaded.Type(k).num_basic_blocks,
+              original.Type(k).num_basic_blocks);
     EXPECT_EQ(loaded.Type(k).block_weights,
               original.Type(k).block_weights);
   }
 }
 
 TEST(SerializeTest, LoadRejectsMissingFile) {
-  EXPECT_THROW(LoadTraceBinary("/nonexistent/trace.bin"),
-               std::runtime_error);
+  EXPECT_THROW(LoadFile("/nonexistent/trace.srtc"), std::runtime_error);
 }
 
 TEST(SerializeTest, LoadRejectsBadMagic) {
-  const std::string path = TempPath("bad_magic.bin");
-  std::ofstream(path) << "NOPE this is not a trace";
-  EXPECT_THROW(LoadTraceBinary(path), std::runtime_error);
+  const std::string path = TempPath("bad_magic.srtc");
+  WriteBytes(path, "NOPE this is not a trace");
+  EXPECT_THROW(LoadFile(path), std::runtime_error);
+
+  // A well-formed file whose header magic alone is wrong.
+  SpillTraceChunked(workloads::MakeRodinia("lud", 1, 0.05), path, 16);
+  std::string bytes = ReadBytes(path);
+  bytes[0] = 'X';
+  WriteBytes(path, bytes);
+  EXPECT_THROW(LoadFile(path), std::runtime_error);
 }
 
 TEST(SerializeTest, LoadRejectsTruncatedFile) {
   KernelTrace trace = workloads::MakeRodinia("lud", 1, 0.05);
-  const std::string full_path = TempPath("full.bin");
-  SaveTraceBinary(trace, full_path);
-
-  std::ifstream in(full_path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  const std::string cut_path = TempPath("cut.bin");
-  std::ofstream(cut_path, std::ios::binary)
-      << bytes.substr(0, bytes.size() / 2);
-  EXPECT_THROW(LoadTraceBinary(cut_path), std::runtime_error);
+  const std::string full_path = TempPath("full.srtc");
+  SpillTraceChunked(trace, full_path, 16);
+  const std::string bytes = ReadBytes(full_path);
+  const std::string cut_path = TempPath("cut.srtc");
+  WriteBytes(cut_path, bytes.substr(0, bytes.size() / 2));
+  EXPECT_THROW(LoadFile(cut_path), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
-// Hostile length/count prefixes: every prefix in the SRTR layout is
-// bounds-checked against the bytes actually remaining, so a corrupt or
-// truncated prefix throws std::runtime_error *before* any allocation is
-// sized from it. Each test below corrupts exactly one prefix in a valid
-// byte string and expects the deserializer to refuse it.
+// Hostile length/count prefixes: every prefix in the SRTC header is
+// bounds-checked against the bytes actually remaining, so a corrupt
+// prefix throws std::runtime_error *before* any allocation is sized from
+// it. Each test below corrupts exactly one prefix in a valid file and
+// expects the reader to refuse it.
 
-/// Overwrite a little-endian POD at `offset` in serialized trace bytes.
+/// Overwrite a little-endian POD at `offset` in `bytes`.
 template <typename T>
 std::string CorruptAt(std::string bytes, size_t offset, T value) {
   EXPECT_LE(offset + sizeof(T), bytes.size());
@@ -86,8 +125,15 @@ std::string CorruptAt(std::string bytes, size_t offset, T value) {
   return bytes;
 }
 
+template <typename T>
+T PodAt(const std::string& bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
 /// A tiny trace with deterministic prefix offsets: workload "wl" (2
-/// bytes), one interned kernel type, `n` invocations.
+/// bytes), one interned kernel type "k", `n` invocations.
 KernelTrace TinyTrace(int n) {
   KernelTrace trace("wl");
   const uint32_t k = trace.InternKernel("k");
@@ -100,78 +146,100 @@ KernelTrace TinyTrace(int n) {
   return trace;
 }
 
-// Prefix offsets in TinyTrace bytes: magic(4) version(4), then
-// workload-name length at 8, num_types at 12+2, first type-name length
-// at 18, and (after name "k", num_basic_blocks) the block-weight count
-// at 18 + 4 + 1 + 4 = 27.
-constexpr size_t kWorkloadLenOffset = 8;
-constexpr size_t kNumTypesOffset = 14;
-constexpr size_t kTypeNameLenOffset = 18;
-constexpr size_t kWeightCountOffset = 27;
+constexpr const char* kTinyKey = "key";
+
+/// TinyTrace(n) as SRTC file bytes, keyed kTinyKey, two-invocation chunks.
+std::string TinyFile(int n) {
+  const std::string path = TempPath("tiny.srtc");
+  SpillTraceChunked(TinyTrace(n), path, 2, kTinyKey);
+  return ReadBytes(path);
+}
+
+// Prefix offsets in TinyFile bytes: magic(4) version(4) capacity(8), then
+// the key length at 16, the workload-name length at 16+4+3, the type count
+// at 23+4+2, the first type-name length at 33, and (after name "k" and
+// num_basic_blocks) the block-weight count at 33+4+1+4 = 42.
+constexpr size_t kKeyLenOffset = 16;
+constexpr size_t kWorkloadLenOffset = 23;
+constexpr size_t kNumTypesOffset = 29;
+constexpr size_t kTypeNameLenOffset = 33;
+constexpr size_t kWeightCountOffset = 42;
+
+/// Load `bytes` as a file; the reader must throw std::runtime_error.
+void ExpectRejected(const std::string& bytes) {
+  const std::string path = TempPath("hostile.srtc");
+  WriteBytes(path, bytes);
+  EXPECT_THROW(LoadFile(path), std::runtime_error);
+}
+
+TEST(SerializeTest, PrefixOffsetsMatchTheLayout) {
+  const std::string bytes = TinyFile(2);
+  EXPECT_EQ(PodAt<uint32_t>(bytes, kKeyLenOffset), 3u);
+  EXPECT_EQ(PodAt<uint32_t>(bytes, kWorkloadLenOffset), 2u);
+  EXPECT_EQ(PodAt<uint32_t>(bytes, kNumTypesOffset), 1u);
+  EXPECT_EQ(PodAt<uint32_t>(bytes, kTypeNameLenOffset), 1u);
+  EXPECT_EQ(PodAt<uint32_t>(bytes, kWeightCountOffset),
+            TinyTrace(0).Type(0).block_weights.size());
+}
+
+TEST(SerializeTest, CorruptKeyLengthThrows) {
+  const std::string bytes = TinyFile(2);
+  // Over the key cap, and under the cap but past the end of the header.
+  ExpectRejected(CorruptAt<uint32_t>(bytes, kKeyLenOffset, 0x7fffffffu));
+  ExpectRejected(CorruptAt<uint32_t>(bytes, kKeyLenOffset,
+                                     static_cast<uint32_t>(bytes.size())));
+}
 
 TEST(SerializeTest, CorruptWorkloadNameLengthThrows) {
-  const std::string bytes = SerializeTrace(TinyTrace(2));
-  // Implausibly huge (over the 1 MiB string cap)...
-  EXPECT_THROW(DeserializeTrace(CorruptAt<uint32_t>(
-                   bytes, kWorkloadLenOffset, 0x7fffffffu)),
-               std::runtime_error);
-  // ...and plausible-but-past-the-end: under the cap, over the payload.
-  EXPECT_THROW(DeserializeTrace(CorruptAt<uint32_t>(
-                   bytes, kWorkloadLenOffset,
-                   static_cast<uint32_t>(bytes.size() + 1))),
-               std::runtime_error);
+  const std::string bytes = TinyFile(2);
+  ExpectRejected(CorruptAt<uint32_t>(bytes, kWorkloadLenOffset, 0x7fffffffu));
+  ExpectRejected(CorruptAt<uint32_t>(
+      bytes, kWorkloadLenOffset, static_cast<uint32_t>(bytes.size() + 1)));
 }
 
 TEST(SerializeTest, CorruptKernelTypeCountThrows) {
-  const std::string bytes = SerializeTrace(TinyTrace(2));
-  EXPECT_THROW(DeserializeTrace(
-                   CorruptAt<uint32_t>(bytes, kNumTypesOffset, 0xffffffu)),
-               std::runtime_error);
+  ExpectRejected(CorruptAt<uint32_t>(TinyFile(2), kNumTypesOffset, 0xffffffu));
 }
 
 TEST(SerializeTest, CorruptTypeNameLengthThrows) {
-  const std::string bytes = SerializeTrace(TinyTrace(2));
-  EXPECT_THROW(DeserializeTrace(CorruptAt<uint32_t>(
-                   bytes, kTypeNameLenOffset,
-                   static_cast<uint32_t>(bytes.size()))),
-               std::runtime_error);
+  const std::string bytes = TinyFile(2);
+  ExpectRejected(CorruptAt<uint32_t>(bytes, kTypeNameLenOffset,
+                                     static_cast<uint32_t>(bytes.size())));
 }
 
 TEST(SerializeTest, CorruptBlockWeightCountThrows) {
-  const std::string bytes = SerializeTrace(TinyTrace(2));
-  EXPECT_THROW(DeserializeTrace(
-                   CorruptAt<uint32_t>(bytes, kWeightCountOffset, 0xffffffu)),
-               std::runtime_error);
+  ExpectRejected(
+      CorruptAt<uint32_t>(TinyFile(2), kWeightCountOffset, 0xffffffu));
 }
 
 TEST(SerializeTest, CorruptInvocationCountThrows) {
-  // The u64 invocation count sits 8 bytes before the invocation records;
-  // derive its offset from an empty-timeline encoding of the same header
-  // so the test never hardcodes record sizes.
-  const std::string header_only = SerializeTrace(TinyTrace(0));
-  const size_t count_offset = header_only.size() - sizeof(uint64_t);
-  const std::string bytes = SerializeTrace(TinyTrace(3));
-  // A count claiming far more records than the payload holds must throw
-  // from the bounds check, never reach the count-sized Reserve.
-  EXPECT_THROW(DeserializeTrace(CorruptAt<uint64_t>(
-                   bytes, count_offset, uint64_t{1} << 50)),
-               std::runtime_error);
-  EXPECT_THROW(
-      DeserializeTrace(CorruptAt<uint64_t>(bytes, count_offset, 4)),
-      std::runtime_error);
-  // Undercounting leaves trailing bytes, which the cache contract also
-  // rejects (a payload must be exactly one trace).
-  EXPECT_THROW(
-      DeserializeTrace(CorruptAt<uint64_t>(bytes, count_offset, 2)),
-      std::runtime_error);
+  // Invocation counts live in the trailer total, in each footer record,
+  // and in each chunk payload's own u64 prefix. Trailer: footer_offset,
+  // num_chunks, total, version, magic (32 bytes at the end).
+  const std::string bytes = TinyFile(3);
+  const size_t total_offset = bytes.size() - 32 + 16;
+  const size_t footer_offset =
+      static_cast<size_t>(PodAt<uint64_t>(bytes, bytes.size() - 32));
+  const size_t chunk0_offset =
+      static_cast<size_t>(PodAt<uint64_t>(bytes, footer_offset));
+  // Over- and undercounting totals disagree with the chunk counts.
+  ExpectRejected(CorruptAt<uint64_t>(bytes, total_offset, uint64_t{1} << 50));
+  ExpectRejected(CorruptAt<uint64_t>(bytes, total_offset, 2));
+  // A footer count past the file must throw from the bounds check, never
+  // size a chunk read from it.
+  ExpectRejected(
+      CorruptAt<uint64_t>(bytes, footer_offset + 8, uint64_t{1} << 50));
+  // A chunk payload count no longer matches its digest.
+  ExpectRejected(CorruptAt<uint64_t>(bytes, chunk0_offset, 1));
 }
 
 TEST(SerializeTest, TruncationAtEveryByteThrowsNotCrashes) {
-  const std::string bytes = SerializeTrace(TinyTrace(2));
-  for (size_t keep = 0; keep < bytes.size(); ++keep)
-    EXPECT_THROW(DeserializeTrace(bytes.substr(0, keep)),
-                 std::runtime_error)
-        << "kept " << keep << " of " << bytes.size() << " bytes";
+  const std::string bytes = TinyFile(3);
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " of " +
+                 std::to_string(bytes.size()) + " bytes");
+    ExpectRejected(bytes.substr(0, keep));
+  }
 }
 
 TEST(SerializeTest, TimelineCsvHasHeaderAndAllRows) {

@@ -20,7 +20,9 @@
 # drills the content-addressed profile cache: a cold run must store, a
 # warm run must hit (and compare byte-identical to the cold run at a
 # different thread count), and a deliberately truncated entry must fall
-# back to a clean recompute.
+# back to a clean recompute. The trace-file drill runs the shell form of
+# the pipeline (generate, profile in place, info, evaluate) over one SRTC
+# file and feeds `info` a truncated file, which must fail cleanly.
 #
 # Usage:
 #   tools/check.sh            # plain + tsan + asan, full ctest each
@@ -424,7 +426,7 @@ EARLY
   # Corrupt the entry (truncate to the header); verify must flag it, and
   # the next run must fall back to a clean recompute with zero drift.
   local centry
-  centry="$(ls "$cdir"/*.srce | head -n 1)"
+  centry="$(ls "$cdir"/*.srtc | head -n 1)"
   head -c 16 "$centry" > "$centry.cut" && mv "$centry.cut" "$centry"
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" cache verify --cache "$cdir" >/dev/null
@@ -445,6 +447,31 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" cache evict --cache "$cdir" --max-bytes 0 \
       >/dev/null
+
+  echo "=== [$mode] trace-file drill (generate, profile in place, info, evaluate) ==="
+  # The shell form of the pipeline over one SRTC file, profiled in place
+  # as the README shows. A truncated file must be refused with the CLI's
+  # error line and exit 1 -- never a crash or a sanitizer report.
+  local fdir="$dir/file-drill"
+  rm -rf "$fdir"; mkdir -p "$fdir"
+  local tfile="$fdir/t.srtc"
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" generate --suite casio --workload bert_infer \
+      --scale 0.02 --out "$tfile" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" profile --in "$tfile" --out "$tfile" >/dev/null
+  env "${san_env[@]}" "$dir/tools/stemroot" info --in "$tfile" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" evaluate --in "$tfile" --reps 2 >/dev/null
+  head -c "$(( $(wc -c < "$tfile") / 2 ))" "$tfile" > "$fdir/cut.srtc"
+  local info_rc=0
+  env "${san_env[@]}" "$dir/tools/stemroot" info --in "$fdir/cut.srtc" \
+    >/dev/null 2>"$fdir/cut.err" || info_rc=$?
+  if [ "$info_rc" -ne 1 ] || ! grep -q '^error: ' "$fdir/cut.err" ||
+     grep -q 'Sanitizer\|runtime error' "$fdir/cut.err"; then
+    echo "trace-file drill FAILED: truncated file gave exit $info_rc" >&2
+    cat "$fdir/cut.err" >&2; exit 1
+  fi
 
   echo "=== [$mode] out-of-core drill (chunked spill, DESIGN.md SS16) ==="
   # (a) Byte-identity: the same seed with and without chunked spill, at

@@ -2,11 +2,11 @@
 /// stemroot — command-line front end to the library, mirroring the
 /// paper's Fig. 5 pipeline as composable steps over trace files:
 ///
-///   stemroot generate --suite casio --workload bert_infer --out t.bin
-///   stemroot profile  --in t.bin --gpu rtx2080 --out t.bin
-///   stemroot info     --in t.bin
-///   stemroot sample   --in t.bin --method stem --epsilon 0.05 --out p.csv
-///   stemroot evaluate --in t.bin --method stem --reps 10
+///   stemroot generate --suite casio --workload bert_infer --out t.srtc
+///   stemroot profile  --in t.srtc --gpu rtx2080 --out t.srtc
+///   stemroot info     --in t.srtc
+///   stemroot sample   --in t.srtc --method stem --epsilon 0.05 --out p.csv
+///   stemroot evaluate --in t.srtc --method stem --reps 10
 ///   stemroot run      --suite casio --workload bert_infer --method stem
 ///   stemroot serve    --socket /tmp/stemroot.sock
 ///   stemroot session  --socket /tmp/stemroot.sock --script requests.jsonl
@@ -41,8 +41,9 @@
 /// `--cache DIR|none`; see src/eval/trace_cache.h for the key contract).
 /// `stemroot cache` inspects and maintains it.
 ///
-/// Traces use the library's binary format; sampling plans are CSVs of
-/// (invocation, weight) -- the "sampling information" a simulator embeds.
+/// Trace files are "SRTC" files (trace/chunked.h), the same format as the
+/// cache entries; sampling plans are CSVs of (invocation, weight) -- the
+/// "sampling information" a simulator embeds.
 
 #include <chrono>
 #include <cstdio>
@@ -53,7 +54,6 @@
 
 #include "baselines/registry.h"
 #include "common/build_info.h"
-#include "common/cache.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/log.h"
@@ -81,7 +81,6 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 #include "workloads/suite.h"
 
 using namespace stemroot;
@@ -295,6 +294,11 @@ void FillMetrics(eval::RunManifest& manifest,
   manifest.metrics.num_clusters = result.num_clusters;
 }
 
+/// A whole trace file, every chunk digest verified while it is read.
+KernelTrace LoadTraceFile(const std::string& path) {
+  return AssembleTrace(FileChunkSource(path));
+}
+
 int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
                 eval::RunManifest& manifest) {
   const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
@@ -307,7 +311,7 @@ int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
        .workload = workload,
        .options = common.ToPipelineOptions()});
   pipeline.FillManifest(manifest);
-  SaveTraceBinary(pipeline.Trace(), out);
+  SpillTraceChunked(pipeline.Trace(), out);
   std::printf("wrote %s: %zu invocations, %zu kernel types (unprofiled)\n",
               out.c_str(), pipeline.Trace().NumInvocations(),
               pipeline.Trace().NumKernelTypes());
@@ -323,10 +327,10 @@ int CmdProfile(const Flags& flags, const eval::CommonOptions& common,
   flags.CheckAllRead();
 
   eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      LoadTraceFile(in), common.ToPipelineOptions());
   pipeline.Profile(spec);
   pipeline.FillManifest(manifest);
-  SaveTraceBinary(pipeline.Trace(), out);
+  SpillTraceChunked(pipeline.Trace(), out);
   if (!csv.empty()) ExportTimelineCsv(pipeline.Trace(), csv);
   std::printf("profiled %zu invocations on %s: total %s\n",
               pipeline.Trace().NumInvocations(), spec.name.c_str(),
@@ -339,7 +343,7 @@ int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
   const int64_t top = flags.GetInt("top", 10);
   flags.CheckAllRead();
 
-  const KernelTrace trace = LoadTraceBinary(in);
+  const KernelTrace trace = LoadTraceFile(in);
   manifest.config.workload = trace.WorkloadName();
   std::printf("%s: %zu invocations, %zu kernel types\n",
               trace.WorkloadName().c_str(), trace.NumInvocations(),
@@ -373,7 +377,7 @@ int CmdSample(const Flags& flags, const eval::CommonOptions& common,
   flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      LoadTraceFile(in), common.ToPipelineOptions());
   pipeline.FillManifest(manifest);
   const core::SamplingPlan plan = pipeline.Sample(*sampler);
   CsvWriter csv(out);
@@ -410,7 +414,7 @@ int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
   flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      LoadTraceFile(in), common.ToPipelineOptions());
   pipeline.FillManifest(manifest);
   const eval::EvalResult result = pipeline.Evaluate(*sampler, reps);
   FillMetrics(manifest, result);
@@ -733,10 +737,10 @@ int CmdCache(const Flags& flags) {
   flags.CheckAllRead();
   if (dir == "none" || dir.empty())
     throw std::invalid_argument("cache: --cache none names no directory");
-  const ArtifactCache cache(dir);
+  const eval::TraceCache cache(dir);
 
   if (action == "stats") {
-    const ArtifactCache::Stats stats = cache.GetStats();
+    const eval::TraceCache::Stats stats = cache.GetStats();
     std::printf("%s: %llu entries, %llu bytes (%s)\n", dir.c_str(),
                 static_cast<unsigned long long>(stats.entries),
                 static_cast<unsigned long long>(stats.bytes),
@@ -745,7 +749,7 @@ int CmdCache(const Flags& flags) {
   }
   if (action == "verify") {
     size_t bad = 0;
-    for (const ArtifactCache::EntryInfo& info : cache.Verify()) {
+    for (const eval::TraceCache::EntryInfo& info : cache.Verify()) {
       if (info.valid) {
         std::printf("ok      %s (%llu bytes)\n", info.file.c_str(),
                     static_cast<unsigned long long>(info.bytes));
@@ -768,7 +772,7 @@ int CmdCache(const Flags& flags) {
   }
   if (action == "evict") {
     const uint64_t removed = cache.Evict(max_bytes);
-    const ArtifactCache::Stats stats = cache.GetStats();
+    const eval::TraceCache::Stats stats = cache.GetStats();
     std::printf("evicted %llu entr%s; %llu entries, %llu bytes remain\n",
                 static_cast<unsigned long long>(removed),
                 removed == 1 ? "y" : "ies",
