@@ -101,6 +101,7 @@ void BM_Kmeans1D(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Kmeans1D)
+    ->Arg(256)  // the streaming reservoir size
     ->RangeMultiplier(8)
     ->Range(1000, 512000)
     ->Complexity(benchmark::oN)
@@ -283,21 +284,21 @@ BENCHMARK(BM_DseSweepThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The out-of-core trace-size axis (DESIGN.md section 16): StreamTrace
-/// over a ReplicatedChunkSource that tiles one profiled bert_infer base
-/// trace out to N logical invocations -- 10^8 here with full online
-/// clustering, 10^9 in the decode-only variant below; orders of
-/// magnitude more than fits in memory as KernelInvocation structs.
-/// Analysis cost must stay O(N) while the resident footprint
-/// stays pinned at the source's chunk budget (about two decoded chunks),
-/// reported here as the resident_budget_bytes counter; check.sh gates
-/// the same bound end to end via the manifest's logical `trace` peak.
-void BM_StreamTraceLogicalSize(benchmark::State& state) {
+/// The out-of-core trace-size axis (DESIGN.md section 16), one layer per
+/// benchmark: StreamTrace over a ReplicatedChunkSource that tiles one
+/// profiled bert_infer base trace out to N logical invocations -- orders
+/// of magnitude more than fits in memory as KernelInvocation structs.
+/// Decode, assign and reassess each add one layer, so the gaps between
+/// the three rows attribute the per-invocation cost. Analysis cost must
+/// stay O(N) while the resident footprint stays pinned at the source's
+/// chunk budget (about two decoded chunks), reported by the full row as
+/// the resident_budget_bytes counter; check.sh gates the same bound end
+/// to end via the manifest's logical `trace` peak.
+void StreamTraceAxis(benchmark::State& state,
+                     const eval::StreamOptions& options) {
   const KernelTrace base = TraceOfSize(63000);
   const ReplicatedChunkSource source(
       base, static_cast<uint64_t>(state.range(0)), uint64_t{1} << 20);
-  eval::StreamOptions options;
-  options.seed = bench::kSeed;
   for (auto _ : state) {
     const eval::StreamResult result = eval::StreamTrace(source, options);
     benchmark::DoNotOptimize(result.invocations);
@@ -308,34 +309,47 @@ void BM_StreamTraceLogicalSize(benchmark::State& state) {
       static_cast<double>(source.ResidentBudgetBytes());
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_StreamTraceLogicalSize)
+
+/// Decode: chunk materialization + the duration fold, clustering off --
+/// the floor any out-of-core analysis pays per invocation.
+void BM_StreamTraceDecodeOnly(benchmark::State& state) {
+  eval::StreamOptions options;
+  options.seed = bench::kSeed;
+  options.cluster = false;
+  StreamTraceAxis(state, options);
+}
+BENCHMARK(BM_StreamTraceDecodeOnly)
+    ->RangeMultiplier(10)
+    ->Range(1000000, 1000000000)
+    ->Complexity(benchmark::oN)
+    ->Unit(benchmark::kMillisecond);
+
+/// Decode + assign: streaming ROOT on, but with the reassessment interval
+/// past the trace length, so every invocation joins its nearest cluster
+/// and its reservoir while no split/merge pass ever runs.
+void BM_StreamTraceAssignOnly(benchmark::State& state) {
+  eval::StreamOptions options;
+  options.seed = bench::kSeed;
+  options.clustering.reassess_interval =
+      static_cast<uint64_t>(state.range(0)) + 1;
+  StreamTraceAxis(state, options);
+}
+BENCHMARK(BM_StreamTraceAssignOnly)
     ->RangeMultiplier(10)
     ->Range(1000000, 100000000)
     ->Complexity(benchmark::oN)
     ->Unit(benchmark::kMillisecond);
 
-/// The same axis with online clustering off isolates the raw chunk
-/// materialization + fold cost -- the floor any out-of-core analysis
-/// pays per invocation. The gap to BM_StreamTraceLogicalSize is the
-/// incremental ROOT/STEM cost per streamed invocation.
-void BM_StreamTraceDecodeOnly(benchmark::State& state) {
-  const KernelTrace base = TraceOfSize(63000);
-  const ReplicatedChunkSource source(
-      base, static_cast<uint64_t>(state.range(0)), uint64_t{1} << 20);
+/// Decode + assign + reassess: full online clustering, split/merge passes
+/// every 64 observations per kernel.
+void BM_StreamTraceLogicalSize(benchmark::State& state) {
   eval::StreamOptions options;
   options.seed = bench::kSeed;
-  options.cluster = false;
-  for (auto _ : state) {
-    const eval::StreamResult result = eval::StreamTrace(source, options);
-    benchmark::DoNotOptimize(result.invocations);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-  state.SetComplexityN(state.range(0));
+  StreamTraceAxis(state, options);
 }
-BENCHMARK(BM_StreamTraceDecodeOnly)
+BENCHMARK(BM_StreamTraceLogicalSize)
     ->RangeMultiplier(10)
-    ->Range(1000000, 1000000000)
+    ->Range(1000000, 100000000)
     ->Complexity(benchmark::oN)
     ->Unit(benchmark::kMillisecond);
 

@@ -51,12 +51,15 @@ void StreamingRoot::ObserveInto(Cluster& cluster, double duration_us) {
   ++cluster.reservoir_seen;
   if (cluster.reservoir.size() < config_.reservoir_capacity) {
     cluster.reservoir.push_back(duration_us);
+    cluster.candidate.reset();
   } else {
     // Algorithm R: replace a random slot with probability cap/seen, so the
     // reservoir stays a uniform sample of everything this cluster saw.
     const uint64_t j = cluster.rng.NextBounded(cluster.reservoir_seen);
-    if (j < cluster.reservoir.size())
+    if (j < cluster.reservoir.size()) {
       cluster.reservoir[static_cast<size_t>(j)] = duration_us;
+      cluster.candidate.reset();
+    }
   }
 }
 
@@ -108,6 +111,42 @@ void StreamingRoot::Reassess() {
             });
 }
 
+StreamingRoot::SplitCandidate StreamingRoot::SplitCandidate::Of(
+    std::span<const double> reservoir) {
+  KmeansResult split = Kmeans1D(reservoir, 2);
+  // ClusterStats::Of of each side without gathering its values: both
+  // passes visit the side's points in reservoir order, as Of's would.
+  double sum[2] = {0.0, 0.0};
+  uint64_t count[2] = {0, 0};
+  for (size_t i = 0; i < reservoir.size(); ++i) {
+    sum[split.assignment[i]] += reservoir[i];
+    ++count[split.assignment[i]];
+  }
+  double mean[2] = {0.0, 0.0};
+  for (int side = 0; side < 2; ++side)
+    if (count[side] > 0)
+      mean[side] = sum[side] / static_cast<double>(count[side]);
+  double m2[2] = {0.0, 0.0};
+  for (size_t i = 0; i < reservoir.size(); ++i) {
+    const double d = reservoir[i] - mean[split.assignment[i]];
+    m2[split.assignment[i]] += d * d;
+  }
+  ClusterStats side[2];
+  for (int c = 0; c < 2; ++c) {
+    side[c].n = count[c];
+    side[c].mean = mean[c];
+    if (count[c] > 0)
+      side[c].stddev = std::sqrt(m2[c] / static_cast<double>(count[c]));
+  }
+
+  SplitCandidate candidate;
+  candidate.low_label = split.centers[0] > split.centers[1] ? 1 : 0;
+  candidate.low = side[candidate.low_label];
+  candidate.high = side[1 - candidate.low_label];
+  candidate.assignment = std::move(split.assignment);
+  return candidate;
+}
+
 bool StreamingRoot::TrySplit(size_t index) {
   Cluster& cluster = clusters_[index];
   const ClusterStats parent = cluster.PopulationStats();
@@ -116,18 +155,15 @@ bool StreamingRoot::TrySplit(size_t index) {
   if (parent.n < config_.root.min_split_size) return false;
   if (parent.stddev <= 0.0) return false;
 
-  const KmeansResult split = Kmeans1D(cluster.reservoir, 2);
-  std::vector<double> low, high;
-  low.reserve(cluster.reservoir.size());
-  for (size_t i = 0; i < cluster.reservoir.size(); ++i)
-    (split.assignment[i] == 0 ? low : high).push_back(cluster.reservoir[i]);
-  if (low.empty() || high.empty()) return false;
-  if (split.centers[0] > split.centers[1]) std::swap(low, high);
+  if (!cluster.candidate)
+    cluster.candidate = SplitCandidate::Of(cluster.reservoir);
+  const SplitCandidate& candidate = *cluster.candidate;
+  if (candidate.low.n == 0 || candidate.high.n == 0) return false;
 
   // Scale reservoir-sample stats up to the full population: child sizes
   // proportional to the reservoir partition, remainders to the low child.
   const double fraction =
-      static_cast<double>(low.size()) /
+      static_cast<double>(candidate.low.n) /
       static_cast<double>(cluster.reservoir.size());
   const uint64_t n_low = std::min<uint64_t>(
       parent.n - 1,
@@ -136,8 +172,8 @@ bool StreamingRoot::TrySplit(size_t index) {
                  std::llround(fraction * static_cast<double>(parent.n)))));
   const uint64_t n_high = parent.n - n_low;
 
-  ClusterStats stats_low = ClusterStats::Of(low);
-  ClusterStats stats_high = ClusterStats::Of(high);
+  ClusterStats stats_low = candidate.low;
+  ClusterStats stats_high = candidate.high;
   stats_low.n = n_low;
   stats_high.n = n_high;
 
@@ -149,7 +185,14 @@ bool StreamingRoot::TrySplit(size_t index) {
   if (tau_new >= tau_old) return false;
 
   // Rebuild the two children with Welford state synthesized from the
-  // scaled sample stats; ranges come from the reservoir partitions.
+  // scaled sample stats; reservoirs and ranges come from the kept
+  // partition.
+  std::vector<double> low, high;
+  low.reserve(candidate.low.n);
+  high.reserve(candidate.high.n);
+  for (size_t i = 0; i < cluster.reservoir.size(); ++i)
+    (candidate.assignment[i] == candidate.low_label ? low : high)
+        .push_back(cluster.reservoir[i]);
   const auto [low_min, low_max] = std::minmax_element(low.begin(), low.end());
   const auto [high_min, high_max] =
       std::minmax_element(high.begin(), high.end());

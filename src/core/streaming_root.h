@@ -12,7 +12,7 @@
 ///     center (the running mean) and updates its Welford accumulator.
 ///   - **Split**: every `reassess_interval` observations, each cluster is
 ///     re-examined with the batch ROOT acceptance rule (Eq. 7 vs Eq. 8):
-///     k-means with k = 2 runs over the cluster's *reservoir* (a bounded,
+///     k-means with k = 2 partitions the cluster's *reservoir* (a bounded,
 ///     deterministic uniform sample of its members) and the split is taken
 ///     iff the KKT-sized children predict a cheaper sampled simulation
 ///     than the Eq. 3-sized parent.
@@ -31,10 +31,26 @@
 /// error bound and the early-stop decision. Plan materialization always
 /// re-runs the canonical batch sampler over the accumulated trace, which
 /// is what pins the replay-equivalence contract (DESIGN.md section 13).
+///
+/// **Reassessment cost.** The k = 2 partition and the two sides' sample
+/// mean and stddev are a pure function of the reservoir's contents, so
+/// each cluster memoizes them as its split candidate. Only a reservoir
+/// write (an append, or an Algorithm R replacement) drops the memo; split
+/// children and merge unions start without one. A pass therefore runs
+/// k-means only on clusters whose reservoir changed since their last run
+/// -- once a reservoir is saturated, most observations write nothing --
+/// and re-evaluates just the parent-dependent part of the rule (the
+/// `n_low` scaling, Eq. 3 and the KKT solve) for the rest. The memo holds
+/// exactly the values a fresh run would compute (same k-means call, the
+/// side statistics summed in reservoir order as ClusterStats::Of does),
+/// and an accepted split builds its children from the kept assignment,
+/// so every decision and statistic is bit-identical to re-running
+/// k-means on every pass (DESIGN.md section 16).
 
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -89,11 +105,25 @@ class StreamingRoot {
   uint64_t NumMerges() const { return merges_; }
 
  private:
+  /// A reservoir's k = 2 partition and the reservoir-sample stats of its
+  /// two sides ("low" is the side with the smaller k-means center).
+  struct SplitCandidate {
+    std::vector<uint32_t> assignment;  ///< Kmeans1D labels, reservoir order
+    uint32_t low_label = 0;
+    ClusterStats low;   ///< ClusterStats::Of(low side's values)
+    ClusterStats high;  ///< ClusterStats::Of(high side's values)
+
+    static SplitCandidate Of(std::span<const double> reservoir);
+  };
+
   struct Cluster {
     StreamingStats stats;           ///< Welford accumulator (population)
     std::vector<double> reservoir;  ///< bounded uniform member sample
     uint64_t reservoir_seen = 0;    ///< observations offered to the reservoir
     Rng rng;                        ///< reservoir replacement stream
+    /// Memo of SplitCandidate::Of(reservoir); reset by every reservoir
+    /// write.
+    std::optional<SplitCandidate> candidate;
 
     Cluster() : rng(0) {}
     double Center() const { return stats.Mean(); }

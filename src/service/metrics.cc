@@ -138,6 +138,9 @@ std::string PrometheusText(const ServiceStats& stats) {
   for (const VerbStats& v : stats.verbs)
     Sample(out, "stemroot_service_request_errors_total", VerbLabel(v),
            static_cast<double>(v.errors));
+  Family(out, "stemroot_service_requests_rejected_total", "counter");
+  Sample(out, "stemroot_service_requests_rejected_total", "",
+         static_cast<double>(stats.requests_rejected));
 
   // The latency summaries: quantile samples plus the _sum/_count pair,
   // per verb. Only verbs with traffic are emitted — a quantile of an

@@ -78,6 +78,9 @@ struct ServiceStats {
   uint64_t early_stops = 0;
   uint64_t requests_total = 0;  ///< sum over verbs
   uint64_t errors_total = 0;    ///< sum over verbs
+  /// Request lines refused before parsing (line_too_long); they reach no
+  /// verb, so requests_total does not count them.
+  uint64_t requests_rejected = 0;
   std::vector<VerbStats> verbs;  ///< kNumVerbs entries, enum order
   /// journal::GetStats() at assembly time (zeros when no journal).
   uint64_t journal_emitted = 0;

@@ -289,6 +289,7 @@ BrokerResult SessionBroker::HandleLine(const std::string& line) {
       w.Int("early_stops", stats.early_stops);
       w.Int("requests", stats.requests_total);
       w.Int("errors", stats.errors_total);
+      w.Int("requests_rejected", stats.requests_rejected);
       std::string verbs = "{";
       for (const VerbStats& v : stats.verbs) {
         if (verbs.size() > 1) verbs += ",";

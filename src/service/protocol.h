@@ -26,7 +26,8 @@
 ///   stats                   -> the full introspection view: open/max
 ///            sessions, uptime_seconds, lifetime tallies
 ///            (sessions_opened/closed, feed_invocations, early_stops,
-///            requests, errors), a "verbs" object with per-verb
+///            requests, errors, requests_rejected = lines refused as
+///            line_too_long), a "verbs" object with per-verb
 ///            requests/errors and latency aggregates
 ///            (mean/p50/p90/p99/max, microseconds; histograms need
 ///            `stemroot serve --metrics` a.k.a. enable_metrics), and a

@@ -191,7 +191,7 @@ class MetricsExporter {
   std::thread thread_;
 };
 
-void HandleConnection(int fd, SessionBroker& broker,
+void HandleConnection(int fd, Service& service, SessionBroker& broker,
                       std::atomic<bool>& stop,
                       const std::string& socket_path) {
   if (journal::Enabled())
@@ -206,6 +206,7 @@ void HandleConnection(int fd, SessionBroker& broker,
     if (status == ReadStatus::kTooLong) {
       // The rest of the line cannot be told apart from the next request,
       // so the connection ends after the error response.
+      service.CountRejectedRequest();
       if (journal::Enabled())
         journal::Emit(journal::Severity::kWarn, "request.rejected",
                       {{"fd", static_cast<uint64_t>(fd)},
@@ -305,8 +306,8 @@ int RunServer(const ServerOptions& options) {
       break;
     }
     connections.emplace_back(
-        [fd, &broker, &stop, &options] {
-          HandleConnection(fd, broker, stop, options.socket_path);
+        [fd, &service, &broker, &stop, &options] {
+          HandleConnection(fd, service, broker, stop, options.socket_path);
         });
   }
 

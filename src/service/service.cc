@@ -601,6 +601,8 @@ ServiceStats Service::GetStats() const {
   stats.feed_invocations =
       feed_invocations_.load(std::memory_order_relaxed);
   stats.early_stops = early_stops_.load(std::memory_order_relaxed);
+  stats.requests_rejected =
+      requests_rejected_.load(std::memory_order_relaxed);
   stats.verbs = metrics_.AllVerbs();
   for (const VerbStats& v : stats.verbs) {
     stats.requests_total += v.requests;

@@ -223,6 +223,12 @@ class Service {
 
   size_t NumOpenSessions() const;
 
+  /// Count one request line the transport refused before parsing (it
+  /// exceeded kMaxRequestLineBytes); reported as requests_rejected.
+  void CountRejectedRequest() {
+    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// The live observability surface (enabled via
   /// ServiceOptions::enable_metrics).
   ServiceMetrics& Metrics() { return metrics_; }
@@ -258,6 +264,7 @@ class Service {
   std::atomic<uint64_t> sessions_closed_{0};
   std::atomic<uint64_t> feed_invocations_{0};
   std::atomic<uint64_t> early_stops_{0};
+  std::atomic<uint64_t> requests_rejected_{0};
   mutable std::mutex mu_;
   SessionId next_id_ = 1;
   std::map<SessionId, std::shared_ptr<Session>> sessions_;

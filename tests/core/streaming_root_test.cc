@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
+#include "common/cache.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
+#include "hw/hardware_model.h"
+#include "workloads/suite.h"
 
 namespace stemroot::core {
 namespace {
@@ -138,6 +144,117 @@ TEST(StreamingRootTest, ApproximatesBatchStructure) {
   EXPECT_EQ(stream_low, batch_low);
 }
 
+/// k-means runs recorded since the last telemetry::Reset().
+uint64_t KmeansRuns() {
+  return telemetry::Capture().Counter("core.kmeans.runs");
+}
+
+/// Observe every value of `values` and return the k-means runs that took.
+uint64_t RunsWhileObserving(StreamingRoot& root,
+                            const std::vector<double>& values) {
+  const uint64_t before = KmeansRuns();
+  for (double v : values) root.Observe(v);
+  return KmeansRuns() - before;
+}
+
+/// `n` draws of N(mean, stddev).
+std::vector<double> Mode(Rng& rng, double mean, double stddev, size_t n) {
+  std::vector<double> values(n);
+  for (double& v : values) v = rng.NextGaussian(mean, stddev);
+  return values;
+}
+
+TEST(StreamingRootTest, ReclustersOnlyAChangedReservoir) {
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  Rng rng(19);
+
+  // One narrow cluster (it never pays to split) with an 8-slot reservoir,
+  // reassessed after every observation. Past saturation, Algorithm R
+  // writes the reservoir only when the cluster's replacement draw lands
+  // inside it; mirror that draw (uid 0 is the first cluster's stream) and
+  // expect exactly one k-means run per write and none otherwise.
+  {
+    StreamingRootConfig config;
+    config.reservoir_capacity = 8;
+    config.min_split_observations = 8;
+    config.reassess_interval = 1;
+    const uint64_t seed = 37;
+    StreamingRoot root(config, seed);
+    Rng mirror(DeriveSeed(seed, 0));
+    uint64_t writes = 0;
+    uint64_t quiet = 0;
+    for (uint64_t seen = 1; seen <= 3000; ++seen) {
+      const bool write =
+          seen <= config.reservoir_capacity ||
+          mirror.NextBounded(seen) < config.reservoir_capacity;
+      const uint64_t runs =
+          RunsWhileObserving(root, {rng.NextGaussian(100.0, 1.0)});
+      if (seen < config.min_split_observations) continue;  // too few yet
+      ASSERT_EQ(runs, write ? 1u : 0u) << "observation " << seen;
+      if (seen > config.reservoir_capacity) ++(write ? writes : quiet);
+    }
+    ASSERT_EQ(root.NumClusters(), 1u);
+    EXPECT_GT(writes, 0u);
+    EXPECT_GT(quiet, writes);  // most saturated passes re-cluster nothing
+  }
+
+  StreamingRootConfig config;
+  config.reservoir_capacity = 64;
+  config.min_split_observations = 2;
+  config.reassess_interval = 64;
+
+  // Split children: a bimodal first pass splits the one cluster (the
+  // first observation founds it, so that pass comes one observation
+  // later than the rest). The next pass feeds only the low mode, yet both
+  // children re-cluster (the high child has no memo yet); on the pass
+  // after that only the written low child does.
+  {
+    StreamingRoot root(config, 41);
+    std::vector<double> bimodal = {rng.NextGaussian(20.0, 0.2)};
+    for (int i = 0; i < 32; ++i) {
+      bimodal.push_back(rng.NextGaussian(20.0, 0.2));
+      bimodal.push_back(rng.NextGaussian(200.0, 2.0));
+    }
+    EXPECT_EQ(RunsWhileObserving(root, bimodal), 1u);
+    ASSERT_EQ(root.NumSplits(), 1u);
+    EXPECT_EQ(RunsWhileObserving(root, Mode(rng, 20.0, 0.2, 64)), 2u);
+    EXPECT_EQ(RunsWhileObserving(root, Mode(rng, 20.0, 0.2, 64)), 1u);
+    EXPECT_EQ(root.NumClusters(), 2u);
+    EXPECT_EQ(root.NumSplits(), 1u);
+    EXPECT_EQ(root.NumMerges(), 0u);
+  }
+
+  // Merge unions: split a far mode off, split 10 from 11, then pour in
+  // 10.5 until the two merge back. Feeding only the far mode afterwards,
+  // the union re-clusters once (no memo) and then holds.
+  {
+    StreamingRoot root(config, 43);
+    std::vector<double> mix = {rng.NextGaussian(1000.0, 10.0)};
+    for (int i = 0; i < 42; ++i) {
+      mix.push_back(rng.NextGaussian(1000.0, 10.0));
+      mix.push_back(rng.NextGaussian(10.0, 0.01));
+      mix.push_back(rng.NextGaussian(11.0, 0.01));
+    }
+    mix.push_back(rng.NextGaussian(1000.0, 10.0));
+    mix.push_back(rng.NextGaussian(1000.0, 10.0));
+    RunsWhileObserving(root, mix);  // two passes
+    ASSERT_EQ(root.NumClusters(), 3u);
+    for (int pass = 0; pass < 20 && root.NumMerges() == 0; ++pass)
+      RunsWhileObserving(root, Mode(rng, 10.5, 0.001, 64));
+    ASSERT_EQ(root.NumMerges(), 1u);
+    ASSERT_EQ(root.NumClusters(), 2u);
+    const uint64_t splits = root.NumSplits();
+    EXPECT_EQ(RunsWhileObserving(root, Mode(rng, 1000.0, 10.0, 64)), 2u);
+    EXPECT_EQ(RunsWhileObserving(root, Mode(rng, 1000.0, 10.0, 64)), 1u);
+    EXPECT_EQ(root.NumSplits(), splits);
+    EXPECT_EQ(root.NumMerges(), 1u);
+  }
+
+  telemetry::Reset();
+  telemetry::SetEnabled(false);
+}
+
 // ---------------------------------------------------------------------------
 // StreamingTraceClusterer: the per-kernel fan-out StreamTrace folds
 // chunks into (DESIGN.md section 16).
@@ -232,6 +349,53 @@ TEST(StreamingTraceClustererTest, PerKernelSeedsAreDecorrelated) {
   x.ObserveChunk(trace.Invocations());
   y.ObserveChunk(trace.Invocations());
   ExpectClusterersEqual(x, y);
+}
+
+/// FNV-1a over the whole streamed structure: lifetime splits and merges,
+/// then every cluster's population n and the bit patterns of its mean and
+/// stddev, in AllStats() order.
+uint64_t StructureFingerprint(const StreamingTraceClusterer& clusterer) {
+  std::string bytes;
+  const auto put = [&bytes](uint64_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(clusterer.TotalSplits());
+  put(clusterer.TotalMerges());
+  for (const ClusterStats& c : clusterer.AllStats()) {
+    put(c.n);
+    put(std::bit_cast<uint64_t>(c.mean));
+    put(std::bit_cast<uint64_t>(c.stddev));
+  }
+  return Fnv1a64(bytes);
+}
+
+TEST(StreamingTraceClustererTest, StructureIsPinned) {
+  // Two profiled traces streamed at seed 42, pinned bit for bit. Any
+  // change to reassessment (k-means, split candidates, the split and merge
+  // rules) that moves a single cluster statistic fails here.
+  struct Case {
+    workloads::SuiteId suite;
+    const char* workload;
+    double scale;
+    uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {workloads::SuiteId::kCasio, "bert_infer", 0.5, 0x4ec1453e24228299ULL},
+      {workloads::SuiteId::kHuggingface, "gpt2", 0.03, 0x6de2ade4f084422eULL},
+  };
+  const hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
+  for (const Case& c : cases) {
+    KernelTrace trace = workloads::MakeWorkload(c.suite, c.workload, 42,
+                                                c.scale);
+    gpu.ProfileTrace(trace, 42);
+    StreamingTraceClusterer clusterer({}, trace, 42);
+    clusterer.ObserveChunk(trace.Invocations());
+    EXPECT_GT(clusterer.TotalSplits(), 0u) << c.workload;
+    EXPECT_EQ(StructureFingerprint(clusterer), c.fingerprint)
+        << c.workload << ": splits " << clusterer.TotalSplits()
+        << ", merges " << clusterer.TotalMerges() << ", clusters "
+        << clusterer.TotalClusters();
+  }
 }
 
 }  // namespace

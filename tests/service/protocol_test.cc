@@ -274,6 +274,7 @@ class ServerTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
     options_.socket_path = (dir_ / "s.sock").string();
     options_.journal_path = (dir_ / "journal.jsonl").string();
+    options_.metrics_path = (dir_ / "metrics.prom").string();
     options_.resource_sample_ms = 0;
     server_ = std::thread([this] {
       try {
@@ -370,6 +371,10 @@ TEST_F(ServerTest, RejectsALineThatNeverEnds) {
   EXPECT_NE(RequestOnce(options_.socket_path, R"({"op":"health"})")
                 .find("\"ok\":true"),
             std::string::npos);
+  // The refused line reached no verb, so only requests_rejected counts it.
+  EXPECT_NE(RequestOnce(options_.socket_path, R"({"op":"stats"})")
+                .find("\"requests_rejected\":1"),
+            std::string::npos);
   RequestOnce(options_.socket_path, R"({"op":"shutdown"})");
   server_.join();
 
@@ -378,6 +383,13 @@ TEST_F(ServerTest, RejectsALineThatNeverEnds) {
   text << journal.rdbuf();
   EXPECT_NE(text.str().find("request.rejected"), std::string::npos);
   EXPECT_NE(text.str().find("line_too_long"), std::string::npos);
+
+  std::ifstream metrics(options_.metrics_path);
+  std::stringstream exposition;
+  exposition << metrics.rdbuf();
+  EXPECT_NE(exposition.str().find(
+                "stemroot_service_requests_rejected_total 1\n"),
+            std::string::npos);
 }
 
 }  // namespace
