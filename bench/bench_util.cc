@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "baselines/registry.h"
 #include "common/log.h"
@@ -31,6 +32,20 @@ bool IsSessionFlag(const char* arg) {
   return false;
 }
 
+/// google-benchmark arguments that only shape its output; every other
+/// --benchmark_* argument changes what runs and joins the manifest.
+constexpr const char* kOutputOnlyBenchmarkArgs[] = {
+    "--benchmark_out", "--benchmark_format", "--benchmark_color",
+    "--benchmark_counters_tabular", "--benchmark_list_tests"};
+
+bool IsRecordedBenchmarkArg(std::string_view arg) {
+  if (!arg.starts_with("--benchmark_")) return false;
+  const std::string_view name = arg.substr(0, arg.find('='));
+  for (const char* flag : kOutputOnlyBenchmarkArgs)
+    if (name == flag) return false;
+  return true;
+}
+
 }  // namespace
 
 Session::Session(int argc, const char* const* argv) {
@@ -43,6 +58,11 @@ Session::Session(int argc, const char* const* argv) {
   ledger_path_ = eval::Ledger::DefaultPath();
   std::string cache_dir = eval::DefaultTraceCacheDir();
 
+  for (int i = 1; i < argc; ++i) {
+    if (!IsRecordedBenchmarkArg(argv[i])) continue;
+    if (!bench_args_.empty()) bench_args_ += ' ';
+    bench_args_ += argv[i];
+  }
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--ledger") == 0) {
       const std::string value = argv[i + 1];
@@ -96,6 +116,7 @@ void Session::WriteManifest(bool completed) const {
   manifest.config.sim_shards = sim_shards_;
   manifest.config.sim_threads = sim_threads_;
   manifest.config.epoch_cycles = epoch_cycles_;
+  manifest.config.bench_args = bench_args_;
   manifest.wall_time_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_)

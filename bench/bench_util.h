@@ -114,6 +114,9 @@ class Session {
   int sim_threads_ = 0;
   uint64_t epoch_cycles_ = 0;
   std::string name_;
+  /// google-benchmark arguments recorded in the manifest config (their
+  /// filter, repetitions, min time...): see RunManifest::Config.
+  std::string bench_args_;
   std::string telemetry_path_;
   std::string trace_path_;
   std::string ledger_path_;  ///< empty = append disabled

@@ -27,6 +27,7 @@
 #include "hw/hardware_model.h"
 #include "service/metrics.h"
 #include "sim/sampled_sim.h"
+#include "sim/simulator.h"
 #include "workloads/casio.h"
 #include "workloads/rodinia.h"
 
@@ -216,6 +217,35 @@ BENCHMARK(BM_EvaluateRepeatedThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// The simulator's per-instruction host cost: every invocation of a
+/// reduced cfd trace (the heaviest dse_sim workload) simulated in
+/// timeline order on one Simulator, one thread. ns_per_warp_instr is
+/// wall time per simulated warp instruction -- the figure the per-warp
+/// set-up, the inlined Rng and the cache's set indexing move. A fixed
+/// iteration count keeps the bench's ledger wall time proportional to
+/// that cost (adaptive counts run a faster build for more iterations).
+void BM_SimulateKernel(benchmark::State& state) {
+  const KernelTrace trace = workloads::GenerateWorkload(
+      workloads::RodiniaSpec("cfd", 0.02), bench::kSeed);
+  sim::Simulator simulator(sim::SimConfig::FromSpec(hw::GpuSpec::Rtx2080()));
+  uint64_t warp_instructions = 0;
+  for (auto _ : state) {
+    for (const KernelInvocation& inv : trace.Invocations())
+      warp_instructions += simulator.SimulateKernel(inv, bench::kSeed)
+                               .stats.warp_instructions;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(warp_instructions));
+  // Rate-inverted: seconds per instruction, printed with an SI prefix
+  // ("71.2n" reads 71.2 ns).
+  state.counters["ns_per_warp_instr"] = benchmark::Counter(
+      static_cast<double>(warp_instructions),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulateKernel)
+    ->Iterations(10)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Full cycle simulation of one trace sharded over 8 kernel-affine lanes
 /// at 1/2/4/8 worker threads (--sim-threads axis). The shard count is
 /// fixed, so total_cycles is byte-identical at every arg (sim_threads is
@@ -247,10 +277,11 @@ BENCHMARK(BM_ShardedFullSimThreads)
     ->Unit(benchmark::kMillisecond);
 
 /// A reduced DseSweep (2 variants x 2 workloads, full + sampled cycle
-/// simulation per point) at 1/2/4/8 concurrent points. Every point is an
-/// independent simulation with an index-derived seed, so the result set
-/// is byte-identical at every arg; this is the inter-simulation axis of
-/// the parallel engine (BM_ShardedFullSimThreads is the intra one).
+/// simulation per point) at 1/2/4/8 concurrent simulations. Every
+/// simulation is an independent task seeded from its point's indices, so
+/// the result set is byte-identical at every arg; this is the
+/// inter-simulation axis of the parallel engine (BM_ShardedFullSimThreads
+/// is the intra one).
 void BM_DseSweepThreads(benchmark::State& state) {
   hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
   std::vector<KernelTrace> traces;
@@ -281,6 +312,7 @@ void BM_DseSweepThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_DseSweepThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Iterations(20)  // fixed, so ledger wall time tracks the sweep cost
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -4,17 +4,18 @@
 /// plans are built from the *baseline* hardware profile; ground truth
 /// comes from FULL cycle simulation of every kernel on five
 /// microarchitecture variants (baseline, cache x2, cache x1/2, #SM x2,
-/// #SM x1/2). All (variant, workload) points run concurrently over the
-/// shared profiled traces -- results are byte-identical to a serial
-/// point-by-point loop at any --threads / --sim-threads (the sweep's
-/// determinism contract, DESIGN.md section 12). Workloads are reduced
+/// #SM x1/2). Every simulation of every (variant, workload) point runs
+/// as its own task over the shared profiled traces, heaviest first --
+/// results are byte-identical to a serial point-by-point loop at any
+/// --threads / --sim-threads (the sweep's determinism contract,
+/// DESIGN.md section 12). Workloads are reduced
 /// (Sec. 5.4) so the full simulations complete here: 11 Rodinia-like
 /// workloads plus the 6 HuggingFace-like LLM/ML workloads with truncated
 /// graphs and scaled per-kernel work.
 ///
 /// Extra flags (after the standard Session set): --sim-shards N,
 /// --sim-threads N, --epoch-cycles N forward to the engine's shard
-/// options; --sweep-threads N caps the concurrently evaluated points.
+/// options; --sweep-threads N caps the concurrently running simulations.
 
 #include <chrono>
 #include <cstdio>

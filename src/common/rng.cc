@@ -27,30 +27,9 @@ uint64_t HashString(std::string_view s) {
   return h;
 }
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t state = seed;
   for (auto& word : s_) word = SplitMix64(state);
-}
-
-uint64_t Rng::operator()() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1) with full double precision.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextDouble(double lo, double hi) {
@@ -111,8 +90,6 @@ double Rng::NextExponential(double lambda) {
   // 1 - NextDouble() is in (0, 1], so the log is finite.
   return -std::log(1.0 - NextDouble()) / lambda;
 }
-
-bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 void Rng::Jump() {
   static constexpr uint64_t kJump[] = {0x180EC6D33CFD0ABAULL,

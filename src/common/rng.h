@@ -42,11 +42,25 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next raw 64-bit value.
-  uint64_t operator()();
+  /// Next raw 64-bit value. Inline, like NextDouble and NextBool: the
+  /// cycle simulator draws several per simulated warp instruction.
+  uint64_t operator()() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0, 1) with full double precision.
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double NextDouble(double lo, double hi);
@@ -72,12 +86,16 @@ class Rng {
   double NextExponential(double lambda);
 
   /// Bernoulli draw with probability p of returning true.
-  bool NextBool(double p);
+  bool NextBool(double p) { return NextDouble() < p; }
 
   /// Jump ahead 2^128 steps: yields a non-overlapping parallel stream.
   void Jump();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<uint64_t, 4> s_;
   double spare_ = 0.0;
   bool has_spare_ = false;

@@ -8,12 +8,13 @@
 /// GPU). A TimingFn abstracts that substrate so the same harness drives
 /// both the analytic hardware model and the cycle-level simulator.
 ///
-/// DseSweep is the batched cycle-level form of that experiment: every
-/// (variant, workload) point of the sweep -- full simulation plus one
-/// sampled simulation per plan -- is an independent task evaluated
-/// concurrently over a shared already-profiled trace set. Points write
-/// into index-addressed slots and each point's RNG stream derives from
-/// (sweep seed, variant index, workload index), so the sweep's result is
+/// DseSweep is the batched cycle-level form of that experiment over a
+/// shared already-profiled trace set. Every simulation of the sweep --
+/// each (variant, workload) point's full simulation and each of its
+/// per-plan sampled simulations -- is an independent task, claimed
+/// heaviest first by estimated warp-instruction mass. Tasks write into
+/// index-addressed slots and each point's RNG stream derives from (sweep
+/// seed, variant index, workload index), so the sweep's result is
 /// byte-identical to running the points one at a time in a serial loop,
 /// at any --threads / --sim-threads setting.
 
@@ -71,14 +72,15 @@ struct DseWorkload {
 };
 
 /// Sweep-wide knobs. `shard` is forwarded to every point's simulations;
-/// note that when points already run concurrently the engine's own lanes
-/// degrade serial inside each point (nested parallel regions), so
+/// note that when simulations already run concurrently the engine's own
+/// lanes degrade serial inside each one (nested parallel regions), so
 /// shard.sim_shards > 1 still changes *results* per the modeling contract
 /// but buys wall time only when the sweep itself is run single-threaded.
 struct DseSweepOptions {
   uint64_t seed = 1;        ///< sweep seed; per-point streams derive from it
   sim::ShardOptions shard;  ///< engine sharding/pacing for every point
-  /// Max concurrently evaluated points; 0 = common::NumThreads().
+  /// Max concurrently running simulations (full or sampled, from any
+  /// point); 0 = common::NumThreads().
   int sweep_threads = 0;
   /// Forwarded into every point's TraceSimOptions.
   bool flush_l2_between_kernels = false;
@@ -130,8 +132,8 @@ struct DseSweepResult {
 };
 
 /// The batched sweep driver. Construction validates the options; Run
-/// evaluates every (variant, workload) point concurrently (capped at
-/// `sweep_threads` lanes) against the shared traces.
+/// evaluates every (variant, workload) point against the shared traces,
+/// running up to `sweep_threads` simulations at a time.
 class DseSweep {
  public:
   DseSweep(std::vector<DseVariant> variants, DseSweepOptions options);
@@ -142,18 +144,30 @@ class DseSweep {
   /// thread count or evaluation order.
   uint64_t PointSeed(size_t variant_index, size_t workload_index) const;
 
-  /// Evaluate one point synchronously on the calling thread. Run() is
-  /// defined as exactly this, looped -- tests pin that equivalence.
+  /// Evaluate one point synchronously on the calling thread: its full
+  /// simulation, then each plan's sampled simulation, in plan order.
   DsePointResult RunPoint(size_t variant_index, const DseWorkload& workload,
                           size_t workload_index) const;
 
-  /// Evaluate all points of variants x workloads concurrently.
+  /// Evaluate all points of variants x workloads. Each simulation is one
+  /// task, run by the same body as RunPoint's; tasks are claimed heaviest
+  /// first by sum(1 + behavior.instructions) / num_sms over the
+  /// invocations they simulate (warmup replays included), ties by task
+  /// index, and a point's rows are assembled once all its tasks are done.
+  /// The order moves wall time only -- tests pin byte-equality with a
+  /// RunPoint loop. A plan that does not fit its trace throws before any
+  /// simulation starts.
   DseSweepResult Run(std::span<const DseWorkload> workloads) const;
 
   const std::vector<DseVariant>& Variants() const { return variants_; }
   const DseSweepOptions& Options() const { return options_; }
 
  private:
+  /// The simulator options of one point (its seed plus the sweep-wide
+  /// warmup, flush and shard settings).
+  sim::TraceSimOptions PointOptions(size_t variant_index,
+                                    size_t workload_index) const;
+
   std::vector<DseVariant> variants_;
   DseSweepOptions options_;
 };

@@ -135,6 +135,10 @@ std::string RunManifest::ToJson(bool pretty) const {
       cfg += ",\"sim_threads\":" + Format("%d", config.sim_threads);
       cfg += ",\"epoch_cycles\":" + U64(config.epoch_cycles);
     }
+    if (!config.bench_args.empty()) {
+      cfg += ",\"bench_args\":";
+      json::AppendString(cfg, config.bench_args);
+    }
     cfg += '}';
     w.Field("config", cfg);
   }
@@ -292,6 +296,12 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
     m.config.sim_threads = static_cast<int>(sim_threads);
     m.config.epoch_cycles = static_cast<uint64_t>(epoch_cycles);
   }
+  // Optional bench arguments (absent in manifests written before they
+  // were recorded, and in every non-bench manifest -> stays "").
+  if (config->Find("bench_args") != nullptr &&
+      !GetStringField(*config, "bench_args", m.config.bench_args, error,
+                      "config"))
+    return false;
 
   if (!GetNumberField(root, "wall_time_seconds", m.wall_time_seconds, error,
                       "manifest"))
@@ -468,6 +478,10 @@ std::string RunManifest::Fingerprint() const {
     // concurrency, so runs at different --sim-threads share a baseline.
     fp += "|sim_shards=" + U64(config.sim_shards);
     fp += "|epoch_cycles=" + U64(config.epoch_cycles);
+  }
+  if (!config.bench_args.empty()) {
+    // Different filters run different benchmarks: one series each.
+    fp += "|bench_args=" + config.bench_args;
   }
   if (trace_spill.present) {
     // Like epoch_cycles: spilling never changes results (chunked

@@ -15,9 +15,11 @@
 ///     "build": { git_hash, git_dirty, compiler, build_type, sanitizer },
 ///     "config": { suite, workload, gpu, method, epsilon, confidence,
 ///                 scale, seed, reps, threads,
-///                 sim_shards, sim_threads, epoch_cycles },  // sim_* only
+///                 sim_shards, sim_threads, epoch_cycles,  // sim_* only
 ///                                        // when simulator sharding is in
 ///                                        // play (sim_shards >= 1)
+///                 bench_args },          // only when a bench got
+///                                        // google-benchmark arguments
 ///     "wall_time_seconds": 1.23,
 ///     "stages": [ { "name": "generate", "count": 1,
 ///                   "total_us": 123.4 }, ... ],
@@ -102,6 +104,13 @@ struct RunManifest {
     uint32_t sim_shards = 0;
     int sim_threads = 0;
     uint64_t epoch_cycles = 0;
+    /// The google-benchmark arguments of a bench run that bench::Session
+    /// does not consume (--benchmark_filter=..., --benchmark_min_time=...),
+    /// space-joined in argv order; "" for everything else. They choose
+    /// which benchmarks run and how long, so they join the fingerprint
+    /// and the compare gate; serialized only when non-empty, so older
+    /// manifests keep their fingerprint.
+    std::string bench_args;
   };
 
   /// Headline accuracy/budget metrics (EvalResult view).

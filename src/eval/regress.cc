@@ -112,6 +112,8 @@ CompareReport CompareManifests(const RunManifest& a, const RunManifest& b) {
   DiffField(report.config_diffs, "sim_shards",
             static_cast<double>(a.config.sim_shards),
             static_cast<double>(b.config.sim_shards));
+  DiffField(report.config_diffs, "bench_args", a.config.bench_args,
+            b.config.bench_args);
   // Threads, sim_threads, and epoch_cycles deliberately NOT part of
   // comparability: the determinism contract (DESIGN.md §12) promises
   // identical results at any thread count, any lane concurrency, and any

@@ -19,14 +19,16 @@ Cache::Cache(uint64_t size_bytes, uint32_t associativity,
     throw std::invalid_argument(
         "Cache: size/line/assoc combination leaves no whole sets");
   num_sets_ = static_cast<uint32_t>(num_lines / associativity);
-  line_shift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
+  line_shift_ = static_cast<uint8_t>(std::countr_zero(line_bytes));
+  pow2_sets_ = std::has_single_bit(num_sets_);
+  set_shift_ = static_cast<uint8_t>(std::countr_zero(num_sets_));
   lines_.resize(num_lines);
 }
 
 bool Cache::Access(uint64_t addr) {
-  const uint64_t line_addr = addr >> line_shift_;
-  const uint32_t set = static_cast<uint32_t>(line_addr % num_sets_);
-  const uint64_t tag = line_addr / num_sets_;
+  uint32_t set;
+  uint64_t tag;
+  Locate(addr, &set, &tag);
   Line* base = &lines_[static_cast<size_t>(set) * assoc_];
   ++clock_;
 
@@ -52,9 +54,9 @@ bool Cache::Access(uint64_t addr) {
 }
 
 bool Cache::Contains(uint64_t addr) const {
-  const uint64_t line_addr = addr >> line_shift_;
-  const uint32_t set = static_cast<uint32_t>(line_addr % num_sets_);
-  const uint64_t tag = line_addr / num_sets_;
+  uint32_t set;
+  uint64_t tag;
+  Locate(addr, &set, &tag);
   const Line* base = &lines_[static_cast<size_t>(set) * assoc_];
   for (uint32_t way = 0; way < assoc_; ++way)
     if (base[way].valid && base[way].tag == tag) return true;

@@ -58,11 +58,28 @@ class Cache {
     bool valid = false;
   };
 
+  /// Set index and tag of a byte address. A power-of-two set count (every
+  /// L1 and most L2s) takes a mask and a shift; other counts (H100's
+  /// 25600-set L2, say) divide. Both give the same set and tag.
+  void Locate(uint64_t addr, uint32_t* set, uint64_t* tag) const {
+    const uint64_t line_addr = addr >> line_shift_;
+    if (pow2_sets_) {
+      *set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
+      *tag = line_addr >> set_shift_;
+    } else {
+      *set = static_cast<uint32_t>(line_addr % num_sets_);
+      *tag = line_addr / num_sets_;
+    }
+  }
+
   uint64_t size_bytes_;
   uint32_t assoc_;
   uint32_t line_bytes_;
   uint32_t num_sets_;
-  uint32_t line_shift_;
+  // Narrow fields keep sizeof(Cache), and with it ApproxBytes, unchanged.
+  uint8_t line_shift_;
+  uint8_t set_shift_;  ///< log2(num_sets_) when pow2_sets_
+  bool pow2_sets_;
   std::vector<Line> lines_;  ///< num_sets_ * assoc_, set-major
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;

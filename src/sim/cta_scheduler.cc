@@ -42,8 +42,7 @@ std::vector<std::vector<uint32_t>> PlanShardLanes(const KernelTrace& trace,
     return lanes;
   }
 
-  // Estimated work per kernel id: dynamic instructions summed in timeline
-  // order (+1 per launch so empty kernels still carry weight).
+  // Estimated work per kernel id: InvocationMass summed in timeline order.
   struct KernelLoad {
     uint32_t kernel_id = 0;
     double weight = 0.0;
@@ -55,8 +54,7 @@ std::vector<std::vector<uint32_t>> PlanShardLanes(const KernelTrace& trace,
     auto [it, inserted] =
         slot_of_kernel.emplace(inv.kernel_id, kernels.size());
     if (inserted) kernels.push_back({inv.kernel_id, 0.0});
-    kernels[it->second].weight +=
-        1.0 + static_cast<double>(inv.behavior.instructions);
+    kernels[it->second].weight += InvocationMass(inv);
   }
 
   // Longest-processing-time-first over lanes: heaviest kernel to the

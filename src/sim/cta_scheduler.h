@@ -28,6 +28,14 @@ struct WavePlan {
 /// a single CTA exceeds the SM's warp capacity.
 WavePlan PlanWaves(const LaunchConfig& launch, const SimConfig& config);
 
+/// Estimated host cost of simulating one invocation: its dynamic
+/// instructions, +1 so empty kernels still carry weight. The load measure
+/// of PlanShardLanes and of the DSE sweep's task order (FullSimMass,
+/// SampledSimMass); it orders work and never enters a result.
+inline double InvocationMass(const KernelInvocation& inv) {
+  return 1.0 + static_cast<double>(inv.behavior.instructions);
+}
+
 /// Kernel-affine lane partition for sharded trace simulation (DESIGN.md
 /// §12): every invocation of a kernel lands on the same lane, so
 /// same-kernel L2 reuse -- the dominant source of inherited warmth (see

@@ -131,17 +131,15 @@ void FillInfo(ShardedRunInfo* info, const std::vector<Lane>& lanes,
   }
 }
 
-/// The warmup preamble shared by the sampled modes, mirroring the serial
-/// loops in sampled_sim.cc / intra_kernel.cc exactly. `replay` runs one
-/// untimed invocation on the lane's simulator and returns the simulated
-/// cycles it cost (pacing only).
-void WarmLane(Lane& lane, uint32_t idx, const TraceSimOptions& options,
-              const std::vector<int64_t>& prev_same_kernel,
-              const std::function<double(Lane&, uint32_t)>& replay) {
-  if (options.flush_l2_between_kernels) {
-    lane.sim->FlushL2();
-    return;
-  }
+/// The untimed warmup replays that precede timing invocation `idx` under
+/// the options' warmup policy, in replay order (none when the L2 is
+/// flushed instead). One definition for the sampled modes and the cost
+/// estimate SampledSimMass.
+template <typename Fn>
+void ForEachWarmupReplay(uint32_t idx, const TraceSimOptions& options,
+                         const std::vector<int64_t>& prev_same_kernel,
+                         Fn&& fn) {
+  if (options.flush_l2_between_kernels) return;
   const int64_t same = prev_same_kernel[idx];
   const bool warm_same =
       options.warmup == WarmupPolicy::kSameKernel ||
@@ -149,13 +147,47 @@ void WarmLane(Lane& lane, uint32_t idx, const TraceSimOptions& options,
   const bool warm_pred =
       options.warmup == WarmupPolicy::kPredecessor ||
       options.warmup == WarmupPolicy::kSameKernelThenPredecessor;
-  if (warm_same && same >= 0)
-    lane.clock += replay(lane, static_cast<uint32_t>(same));
+  if (warm_same && same >= 0) fn(static_cast<uint32_t>(same));
   if (warm_pred && idx > 0 && static_cast<int64_t>(idx) - 1 != same)
-    lane.clock += replay(lane, idx - 1);
+    fn(idx - 1);
+}
+
+/// The warmup preamble shared by the sampled modes, mirroring the serial
+/// loops in sampled_sim.cc / intra_kernel.cc exactly. `replay` runs one
+/// untimed invocation on the lane's simulator and returns the simulated
+/// cycles it cost (pacing only).
+void WarmLane(Lane& lane, uint32_t idx, const TraceSimOptions& options,
+              const std::vector<int64_t>& prev_same_kernel,
+              const std::function<double(Lane&, uint32_t)>& replay) {
+  if (options.flush_l2_between_kernels) lane.sim->FlushL2();
+  ForEachWarmupReplay(idx, options, prev_same_kernel, [&](uint32_t replayed) {
+    lane.clock += replay(lane, replayed);
+  });
 }
 
 }  // namespace
+
+double FullSimMass(const KernelTrace& trace) {
+  double mass = 0.0;
+  for (const KernelInvocation& inv : trace.Invocations())
+    mass += InvocationMass(inv);
+  return mass;
+}
+
+double SampledSimMass(const KernelTrace& trace,
+                      const core::SamplingPlan& plan,
+                      const TraceSimOptions& options) {
+  plan.Validate(trace.NumInvocations());
+  const std::vector<int64_t> prev_same_kernel = PrevSameKernel(trace);
+  double mass = 0.0;
+  for (uint32_t idx : plan.DistinctInvocations()) {
+    ForEachWarmupReplay(idx, options, prev_same_kernel, [&](uint32_t r) {
+      mass += InvocationMass(trace.At(r));
+    });
+    mass += InvocationMass(trace.At(idx));
+  }
+  return mass;
+}
 
 TraceSimResult ShardedSimulateTraceFull(const KernelTrace& trace,
                                         const SimConfig& config,

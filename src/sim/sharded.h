@@ -65,6 +65,20 @@ SampledSimResult ShardedSimulateSampled(const KernelTrace& trace,
                                         const TraceSimOptions& options = {},
                                         ShardedRunInfo* info = nullptr);
 
+/// Estimated host cost of a full run: the warp-instruction mass
+/// sum(1 + behavior.instructions) over every invocation. Schedulers of
+/// many simulations (eval::DseSweep) claim the heaviest first; the
+/// estimate orders work and never enters a result.
+double FullSimMass(const KernelTrace& trace);
+
+/// Estimated host cost of a sampled run, on FullSimMass's scale: the
+/// plan's distinct invocations plus their untimed warmup replays under
+/// the options' policy. Throws what SimulateSampled throws for a plan
+/// that does not fit the trace.
+double SampledSimMass(const KernelTrace& trace,
+                      const core::SamplingPlan& plan,
+                      const TraceSimOptions& options);
+
 /// Sharded kernel-level + intra-kernel (wave) sampling combination.
 CombinedSimResult ShardedSimulateSampledIntra(
     const KernelTrace& trace, const core::SamplingPlan& plan,

@@ -53,15 +53,18 @@ WaveSimResult Simulator::SimulateKernelWaves(const KernelInvocation& inv,
       1, inv.behavior.footprint_bytes / config_.line_bytes);
   peer_warming.peers = config_.num_sms - 1;
 
+  // Everything the warps' streams share is computed once per invocation;
+  // the warp vector is reused wave after wave (its programs keep their
+  // ring capacity).
+  const InvocationStream stream(inv.behavior, inv.launch, config_,
+                                stream_seed, region_base);
+  std::vector<WarpContext> warps;
   double cycle = 0.0;
   uint32_t warp_id = 0;
   for (uint32_t wave_warps : plan.wave_warps) {
     if (max_waves != 0 && result.wave_cycles.size() >= max_waves) break;
-    std::vector<WarpContext> warps;
-    warps.reserve(wave_warps);
-    for (uint32_t w = 0; w < wave_warps; ++w)
-      warps.emplace_back(inv.behavior, inv.launch, config_, stream_seed,
-                         region_base, warp_id++);
+    warps.resize(wave_warps);
+    for (WarpContext& warp : warps) warp.program.Start(stream, warp_id++);
     const double end = sm_.ExecuteWave(warps, cycle, peer_warming,
                                        &result.stats);
     result.wave_cycles.push_back(end - cycle);

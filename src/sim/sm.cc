@@ -54,7 +54,7 @@ double SmModel::ExecuteWave(std::vector<WarpContext>& warps,
     WarpContext& warp = warps[entry.warp];
     if (warp.done) continue;
 
-    if (!warp.program->Next(instr)) {
+    if (!warp.program.Next(instr)) {
       warp.done = true;
       finish = std::max(finish, warp.ready);
       continue;

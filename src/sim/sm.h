@@ -57,6 +57,10 @@ class SmModel {
 
   /// Run all warps to completion starting at `start_cycle`; returns the
   /// cycle at which the last warp finishes. Stats accumulate into *stats.
+  /// The caller starts every warp's program from the invocation's one
+  /// InvocationStream (the per-invocation shape: mix thresholds, hot-set
+  /// size, initial hot ring), so per-warp set-up is an RNG seed and a
+  /// cursor, not a ring rebuild.
   double ExecuteWave(std::vector<WarpContext>& warps, double start_cycle,
                      const PeerWarming& peer_warming, SmStats* stats);
 

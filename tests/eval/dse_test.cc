@@ -4,6 +4,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <string>
+
+#include "common/telemetry.h"
+#include "sim/sharded.h"
 
 #include "core/sampler.h"
 #include "eval/manifest.h"
@@ -281,6 +286,97 @@ TEST_F(DseSweepTest, AccessorsRejectBadIndices) {
   DseSweepOptions bad = options;
   bad.sweep_threads = -2;
   EXPECT_THROW(DseSweep(*variants_, bad), std::invalid_argument);
+}
+
+/// The sim.* and dse.points counter deltas of `fn` (telemetry on).
+template <typename Fn>
+std::map<std::string, uint64_t> SimCounterDeltas(Fn&& fn) {
+  telemetry::SetEnabled(true);
+  const telemetry::Snapshot before = telemetry::Capture();
+  fn();
+  const telemetry::Snapshot after = telemetry::Capture();
+  telemetry::SetEnabled(false);
+  std::map<std::string, uint64_t> deltas;
+  for (const auto& [name, value] : telemetry::CounterDeltas(before, after))
+    if (name.rfind("sim.", 0) == 0 || name == "dse.points")
+      deltas[name] = value;
+  return deltas;
+}
+
+TEST_F(DseSweepTest, SkewedTasksMatchRunPointAtAnyThreadCount) {
+  // Workloads ~35x apart in warp-instruction mass, with plans of very
+  // different sizes (one entry, every fourth invocation, STEM), on two SM
+  // counts: heaviest-first interleaves tasks of different points, so the
+  // claim order is far from point order.
+  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
+  std::vector<KernelTrace> traces;
+  for (const char* name : {"lud", "cfd"})
+    traces.push_back(Pipeline::GenerateProfiled(
+                         {.suite = workloads::SuiteId::kRodinia,
+                          .workload = name,
+                          .options = {.seed = 5, .size_scale = 0.02}},
+                         gpu)
+                         .Trace());
+  ASSERT_GT(sim::FullSimMass(traces[1]), 10.0 * sim::FullSimMass(traces[0]));
+  core::StemRootSampler stem;
+  std::vector<std::vector<core::SamplingPlan>> plans(traces.size());
+  for (size_t w = 0; w < traces.size(); ++w) {
+    const uint32_t n = static_cast<uint32_t>(traces[w].NumInvocations());
+    core::SamplingPlan one{.method = "one", .entries = {{n / 2, double(n)}}};
+    core::SamplingPlan quarter{.method = "quarter", .entries = {}};
+    for (uint32_t i = 0; i < n; i += 4) quarter.entries.push_back({i, 4.0});
+    plans[w] = {std::move(one), std::move(quarter), stem.BuildPlan(traces[w], 1)};
+  }
+  std::vector<DseWorkload> workloads;
+  for (size_t w = 0; w < traces.size(); ++w)
+    workloads.push_back({&traces[w], plans[w]});
+  const std::vector<DseVariant> all =
+      StandardDseVariants(hw::GpuSpec::Rtx2080());
+  const std::vector<DseVariant> variants = {all[0], all[4]};
+
+  DseSweepOptions options;
+  options.seed = 17;
+  const DseSweep serial_sweep(variants, options);
+  std::vector<DsePointResult> serial;
+  const auto serial_counters = SimCounterDeltas([&] {
+    for (size_t vi = 0; vi < variants.size(); ++vi)
+      for (size_t wi = 0; wi < workloads.size(); ++wi)
+        serial.push_back(serial_sweep.RunPoint(vi, workloads[wi], wi));
+  });
+  EXPECT_EQ(serial_counters.at("dse.points"), serial.size());
+
+  for (int threads : {1, 3, 8}) {
+    SCOPED_TRACE(threads);
+    options.sweep_threads = threads;
+    const DseSweep sweep(variants, options);
+    DseSweepResult result;
+    const auto counters =
+        SimCounterDeltas([&] { result = sweep.Run(workloads); });
+    EXPECT_EQ(counters, serial_counters);
+    ASSERT_EQ(result.points.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i)
+      ExpectPointsIdentical(result.points[i], serial[i]);
+  }
+
+  // A plan past the trace end fails Run exactly as it fails RunPoint.
+  std::vector<core::SamplingPlan> bad_plans = plans[0];
+  bad_plans.push_back(
+      {.method = "bad",
+       .entries = {{static_cast<uint32_t>(traces[0].NumInvocations()), 1.0}}});
+  const std::vector<DseWorkload> bad = {workloads[1], {&traces[0], bad_plans}};
+  std::string point_error, sweep_error;
+  try {
+    serial_sweep.RunPoint(0, bad[1], 1);
+  } catch (const std::out_of_range& e) {
+    point_error = e.what();
+  }
+  try {
+    serial_sweep.Run(bad);
+  } catch (const std::out_of_range& e) {
+    sweep_error = e.what();
+  }
+  EXPECT_FALSE(point_error.empty());
+  EXPECT_EQ(sweep_error, point_error);
 }
 
 }  // namespace

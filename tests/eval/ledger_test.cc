@@ -133,5 +133,34 @@ TEST(LedgerTest, BaselineMatchesFingerprintWindowAndCompleteness) {
   EXPECT_DOUBLE_EQ(base.back()->wall_time_seconds, 6.0);
 }
 
+TEST(LedgerTest, BenchArgsSplitBaselines) {
+  // Two google-benchmark filters of one bench binary are two series: a
+  // change's entry finds only its own filter's earlier runs.
+  const auto bench_run = [](double wall, const char* args) {
+    RunManifest m = MakeRun(wall);
+    m.tool = "perf_scalability";
+    m.command = "bench";
+    m.config.bench_args = args;
+    return m;
+  };
+  const std::string path = TempLedger("bench_args.jsonl");
+  Ledger::Append(bench_run(40.0, ""), path);  // whole-binary run
+  Ledger::Append(bench_run(1.0, "--benchmark_filter=BM_SimulateKernel"),
+                 path);
+  Ledger::Append(bench_run(0.9, "--benchmark_filter=BM_DseSweepThreads/4"),
+                 path);
+  Ledger::Append(bench_run(1.1, "--benchmark_filter=BM_SimulateKernel"),
+                 path);
+  const Ledger ledger = Ledger::Load(path);
+  ASSERT_EQ(ledger.Entries().size(), 4u);
+  const size_t newest = ledger.Entries().size() - 1;
+  const auto base =
+      ledger.Baseline(ledger.Entries()[newest], newest, /*window=*/0);
+  ASSERT_EQ(base.size(), 1u);
+  EXPECT_DOUBLE_EQ(base[0]->wall_time_seconds, 1.0);
+  EXPECT_EQ(base[0]->config.bench_args,
+            "--benchmark_filter=BM_SimulateKernel");
+}
+
 }  // namespace
 }  // namespace stemroot::eval

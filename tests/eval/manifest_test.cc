@@ -297,6 +297,50 @@ TEST(ManifestTest, ChunkSizeSplitsFingerprintLikeEpochCycles) {
   EXPECT_NE(b.Fingerprint(), d.Fingerprint());
 }
 
+TEST(ManifestTest, BenchArgsSplitFingerprintAndRoundTrip) {
+  RunManifest a = MakeManifest();
+  a.tool = "perf_scalability";
+  a.command = "bench";
+  RunManifest b = a;
+  b.config.bench_args =
+      "--benchmark_filter=BM_SimulateKernel --benchmark_min_time=0.5";
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  RunManifest c = b;
+  c.config.bench_args = "--benchmark_filter=BM_DseSweepThreads/4";
+  EXPECT_NE(b.Fingerprint(), c.Fingerprint());
+
+  // Serialized only when set; round-trips with its fingerprint.
+  EXPECT_EQ(a.ToJson(false).find("bench_args"), std::string::npos);
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(b.ToJson(true), back, &error)) << error;
+  EXPECT_EQ(back.config.bench_args, b.config.bench_args);
+  EXPECT_EQ(back.Fingerprint(), b.Fingerprint());
+  // A non-string value is a schema error.
+  std::string broken = b.ToJson(false);
+  const std::string field = "\"bench_args\":\"" + b.config.bench_args + "\"";
+  ASSERT_NE(broken.find(field), std::string::npos);
+  broken.replace(broken.find(field), field.size(), "\"bench_args\":3");
+  EXPECT_FALSE(RunManifest::FromJson(broken, back, &error));
+}
+
+TEST(ManifestTest, ManifestWithoutBenchArgsKeepsItsOldFingerprint) {
+  // A bench manifest as written before bench arguments were recorded.
+  const std::string old_manifest =
+      R"({"schema":"stemroot-manifest-v1","tool":"perf_scalability",)"
+      R"("command":"bench","completed":true,"build":{"git_hash":"0b70641",)"
+      R"("git_dirty":false,"compiler":"gcc","build_type":"Release",)"
+      R"("sanitizer":"none"},"config":{"suite":"","workload":"","gpu":"",)"
+      R"("method":"","epsilon":0,"confidence":0,"scale":1,"seed":42,)"
+      R"("reps":0,"threads":1},"wall_time_seconds":12.5,"stages":[],)"
+      R"("counters":{}})";
+  RunManifest m;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(old_manifest, m, &error)) << error;
+  EXPECT_EQ(m.config.bench_args, "");
+  EXPECT_EQ(m.Fingerprint(), "perf_scalability|bench|||||0|0|1|42|0|1");
+}
+
 TEST(ManifestTest, ValidationRejectsNonConformingDocuments) {
   std::string error;
   EXPECT_FALSE(ValidateManifestJson("not json at all", &error));

@@ -200,9 +200,11 @@ run_mode() {
   # a DSE sweep at --sim-threads 1 vs 4 must produce manifests with zero
   # deterministic drift (`stemroot compare` exit 0), and so must an
   # extreme --epoch-cycles setting -- thread count and epoch length are
-  # pacing knobs, never modeling knobs.
+  # pacing knobs, never modeling knobs. So must a --threads 1 sweep: it
+  # runs its simulations one at a time in point order, the default-thread
+  # sweep heaviest first on the pool.
   local sim_a="$dir/sim-manifest-a.json" sim_b="$dir/sim-manifest-b.json"
-  local sim_c="$dir/sim-manifest-c.json"
+  local sim_c="$dir/sim-manifest-c.json" sim_d="$dir/sim-manifest-d.json"
   local dse_args=(dse --suite rodinia --workload hotspot,lud --seed 11
                   --scale 0.05 --sim-shards 4 --cache "$smoke_cache")
   env "${san_env[@]}" \
@@ -214,7 +216,10 @@ run_mode() {
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 \
       --epoch-cycles 4096 --manifest "$sim_c" >/dev/null
-  "$dir/tools/manifest_check" "$sim_a" "$sim_b" "$sim_c" \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 --threads 1 \
+      --manifest "$sim_d" >/dev/null
+  "$dir/tools/manifest_check" "$sim_a" "$sim_b" "$sim_c" "$sim_d" \
       --require-completed \
       --require-counter sim.kernels_simulated \
       --require-counter dse.points >/dev/null
@@ -222,6 +227,8 @@ run_mode() {
     "$dir/tools/stemroot" compare "$sim_a" "$sim_b" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$sim_b" "$sim_c" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" compare "$sim_b" "$sim_d" >/dev/null
 
   echo "=== [$mode] serve drill (resident service, two concurrent sessions) ==="
   # Host the resident service on an AF_UNIX socket and drive it with the
