@@ -161,7 +161,7 @@ Session::~Session() {
   // Finalize the run manifest (wall time, stages, counters) and append it
   // to the perf ledger -- the always-on machine-readable summary sweep
   // scripts and `stemroot regress` consume.
-  WriteManifest(/*completed=*/true);
+  WriteManifest(/*completed=*/!failed_);
 }
 
 void Session::StripFlags(int* argc, char** argv) {

@@ -93,6 +93,10 @@ class Session {
     epoch_cycles_ = epoch_cycles;
   }
 
+  /// Record the run as failed: the destructor then writes the manifest
+  /// with completed=false and appends nothing to the ledger.
+  void MarkFailed() { failed_ = true; }
+
   /// Bench name derived from argv[0] (basename, no directories).
   const std::string& name() const { return name_; }
 
@@ -110,6 +114,7 @@ class Session {
   void WriteManifest(bool completed) const;
 
   int threads_ = 0;
+  bool failed_ = false;
   uint32_t sim_shards_ = 0;
   int sim_threads_ = 0;
   uint64_t epoch_cycles_ = 0;

@@ -432,7 +432,11 @@ int main(int argc, char** argv) {
   stemroot::bench::Session::StripFlags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  const size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  if (ran > 0) return 0;
+  // A --benchmark_filter that matches nothing measured nothing: fail, and
+  // keep the empty run out of the ledger, where it would start a series.
+  session.MarkFailed();
+  return 1;
 }

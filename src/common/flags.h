@@ -26,12 +26,17 @@ class Flags {
   bool Has(const std::string& key) const;
 
   /// Typed getters with defaults. Throw std::invalid_argument when the
-  /// value does not parse.
+  /// value does not parse, or when the flag was given more than once
+  /// (a single-value flag never lets the last value silently win).
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   int64_t GetInt(const std::string& key, int64_t fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
+
+  /// Every value of a repeatable flag, in command-line order (empty when
+  /// absent).
+  std::vector<std::string> GetAll(const std::string& key) const;
 
   /// Required string; throws std::invalid_argument when missing.
   std::string Require(const std::string& key) const;
@@ -41,8 +46,11 @@ class Flags {
   void CheckAllRead() const;
 
  private:
+  /// The single value of `key` (marking it read), nullptr when absent.
+  const std::string* Single(const std::string& key) const;
+
   std::vector<std::string> positional_;
-  std::map<std::string, std::string> values_;
+  std::map<std::string, std::vector<std::string>> values_;
   mutable std::set<std::string> read_;
 };
 

@@ -6,10 +6,10 @@
 /// numbers) every exporter in the tree uses so their byte-level output
 /// conventions cannot drift apart.
 ///
-/// The parser exists for *validation* (tools/telemetry_check,
-/// tools/trace_check, the audit tests): it keeps \u escapes verbatim
-/// instead of decoding them, rejects trailing garbage, and reports a
-/// character offset with every error.
+/// The parser exists for *validation* (`stemroot check telemetry|trace`,
+/// the audit tests): it keeps \u escapes verbatim instead of decoding
+/// them, rejects trailing garbage, and reports a character offset with
+/// every error.
 
 #pragma once
 

@@ -22,8 +22,8 @@
 /// - **Wall-clock events are not deterministic.** Timestamps, thread ids,
 ///   and event interleavings reflect the schedule; traces are a
 ///   performance-debugging view, never an input to results. Per-thread
-///   timestamps are monotonic (steady clock), which tools/trace_check
-///   verifies.
+///   timestamps are monotonic (steady clock), which `stemroot check
+///   trace` verifies.
 /// - **TSan cleanliness.** Rings are mutex-guarded per thread (uncontended
 ///   on the hot path); Export/Reset take every ring's mutex.
 
@@ -112,8 +112,9 @@ struct TraceInfo {
 /// schema tag "stemroot-trace-v1" in "otherData", a "traceEvents" array
 /// whose entries carry name/ph/ts/pid/tid, per-thread balanced and
 /// name-matched B/E nesting, non-decreasing per-thread timestamps, and a
-/// numeric args.value on every counter event. tools/trace_check wraps
-/// this. `names` (when non-null) receives every event name in file order.
+/// numeric args.value on every counter event. `stemroot check trace`
+/// wraps this. `names` (when non-null) receives every event name in file
+/// order.
 bool ValidateTraceJson(std::string_view json, std::string* error,
                        std::vector<std::string>* names = nullptr,
                        TraceInfo* info = nullptr);

@@ -51,10 +51,10 @@
 /// as compact single lines into the append-only ledger
 /// (src/eval/ledger.h). `stemroot compare` diffs two manifests;
 /// `stemroot regress` checks the newest ledger entry against a rolling
-/// baseline (src/eval/regress.h). tools/manifest_check validates files in
-/// CI. The determinism contract (DESIGN.md) makes the config, counters,
-/// and metrics sections byte-identical at any --threads for a fixed seed;
-/// only wall times vary.
+/// baseline (src/eval/regress.h). `stemroot check manifest` validates
+/// files in CI. The determinism contract (DESIGN.md) makes the config,
+/// counters, and metrics sections byte-identical at any --threads for a
+/// fixed seed; only wall times vary.
 
 #pragma once
 
@@ -214,8 +214,8 @@ struct RunManifest {
   void StampBuild() { build = GetBuildInfo(); }
 };
 
-/// Validate a manifest document (tools/manifest_check, tests). Equivalent
-/// to RunManifest::FromJson with the result discarded.
+/// Validate a manifest document (`stemroot check manifest`, tests).
+/// Equivalent to RunManifest::FromJson with the result discarded.
 bool ValidateManifestJson(std::string_view text, std::string* error);
 
 }  // namespace stemroot::eval

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -10,6 +11,7 @@
 #include "common/stats.h"
 #include "common/str.h"
 #include "common/table.h"
+#include "eval/journal_tail.h"
 
 namespace stemroot::eval {
 
@@ -423,29 +425,89 @@ RegressReport CheckRegression(const Ledger& ledger,
   return report;
 }
 
+namespace {
+
+/// A numeric journal field as a count: nullopt when absent, not a number,
+/// negative, or beyond uint64 (a cast would be undefined there).
+std::optional<uint64_t> JournalCount(const json::Value* value) {
+  if (value == nullptr || !value->IsNumber() || !(value->number >= 0.0) ||
+      value->number >= 18446744073709551616.0)
+    return std::nullopt;
+  return static_cast<uint64_t>(value->number);
+}
+
+}  // namespace
+
 JournalSummary SummarizeJournalFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
     throw std::runtime_error("regress: cannot open journal '" + path + "'");
   JournalSummary summary;
+  uint64_t last_ts = 0;
+  uint64_t next_seq = 0;
+  bool have_seq = false;
   std::string line;
+  size_t lineno = 0;
   while (std::getline(in, line)) {
+    ++lineno;
     if (line.empty()) continue;
+    auto violation = [&](const std::string& why) {
+      summary.violations.push_back(std::to_string(lineno) + ": " + why);
+    };
     json::Value event;
     if (!json::Parse(line, event, nullptr) || !event.IsObject()) {
-      ++summary.unparseable;  // torn tail or corruption; gate-neutral
+      ++summary.unparseable;
+      if (in.peek() == EOF)
+        ++summary.torn_tail;  // crash mid-append
+      else
+        violation("unparseable journal line");
       continue;
     }
     ++summary.events;
-    if (const json::Value* sev = event.Find("sev"); sev && sev->IsString()) {
+    const json::Value* sev = event.Find("sev");
+    if (sev && sev->IsString()) {
       if (sev->string == "error") ++summary.errors;
       if (sev->string == "warn") ++summary.warnings;
     }
-    if (const json::Value* d = event.Find("dropped_since_last");
-        d && d->IsNumber() && d->number > 0.0)
-      summary.dropped += static_cast<uint64_t>(d->number);
+    if (const std::optional<uint64_t> d =
+            JournalCount(event.Find("dropped_since_last")))
+      summary.dropped += *d;
+
+    const std::optional<uint64_t> ts = JournalCount(event.Find("ts_us"));
+    const std::optional<uint64_t> seq = JournalCount(event.Find("seq"));
+    const json::Value* name = event.Find("event");
+    if (!ts || !JournalCount(event.Find("tid")) || !seq || !sev ||
+        !sev->IsString() || !name || !name->IsString()) {
+      violation("missing or malformed reserved key (ts_us/tid/seq/sev/"
+                "event)");
+      continue;
+    }
+    if (SeverityRank(sev->string) < 0)
+      violation("unknown severity '" + sev->string + "'");
+    if (*ts < last_ts) violation("ts_us went backwards");
+    last_ts = *ts;
+    if (have_seq && *seq != next_seq)
+      violation("seq gap (want " + std::to_string(next_seq) + ", got " +
+                std::to_string(*seq) + ")");
+    have_seq = true;
+    next_seq = *seq + 1;
+    summary.event_names.insert(name->string);
   }
   return summary;
+}
+
+std::vector<std::string> CheckJournal(
+    const JournalSummary& summary,
+    const std::vector<std::string>& required_events, uint64_t max_errors) {
+  std::vector<std::string> failures = summary.violations;
+  for (const std::string& required : required_events)
+    if (summary.event_names.count(required) == 0)
+      failures.push_back("required event '" + required + "' never emitted");
+  if (summary.errors > max_errors)
+    failures.push_back(std::to_string(summary.errors) +
+                       " error event(s), max allowed " +
+                       std::to_string(max_errors));
+  return failures;
 }
 
 void AddJournalGates(const JournalSummary& summary,

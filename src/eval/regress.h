@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -155,20 +156,38 @@ struct RegressReport {
 RegressReport CheckRegression(const Ledger& ledger,
                               const RegressOptions& options);
 
-/// What a journal file (common/journal.h JSONL) contains, as the regress
-/// gate sees it. Torn final lines (crash mid-append) are tolerated and
-/// counted as unparseable, not errors.
+/// What a journal file (common/journal.h JSONL) contains. This is the
+/// one journal-file reader: `stemroot regress --journal` gates on its
+/// tallies, `stemroot check journal` on CheckJournal's verdict over it.
+/// Unparseable lines are counted, never thrown: a torn final line (crash
+/// mid-append) is expected, mid-file garbage is corruption.
 struct JournalSummary {
   uint64_t events = 0;       ///< well-formed lines
   uint64_t errors = 0;       ///< sev == "error"
   uint64_t warnings = 0;     ///< sev == "warn"
   uint64_t dropped = 0;      ///< sum of dropped_since_last fields
-  uint64_t unparseable = 0;  ///< malformed lines (torn tail etc.)
+  uint64_t unparseable = 0;  ///< malformed lines, torn tail included
+  uint64_t torn_tail = 0;    ///< of those, the final line (0 or 1)
+  std::set<std::string> event_names;  ///< distinct `event` values
+  /// Invariant breaches, one "LINE: why" each: mid-file unparseable
+  /// lines, a missing or malformed reserved key (ts_us, tid, seq:
+  /// counts; sev, event: strings), an unknown severity, ts_us going
+  /// backwards, a gap in seq.
+  std::vector<std::string> violations;
 };
 
 /// Read and summarize a journal file. Throws std::runtime_error when the
 /// file cannot be opened.
 JournalSummary SummarizeJournalFile(const std::string& path);
+
+/// `stemroot check journal`'s verdict: every invariant violation, every
+/// `required_events` name never emitted, and more than `max_errors`
+/// error-severity events each fail. Returns one message per failure;
+/// empty means the journal passes. Gating regress is more lenient: there
+/// any unparseable line is gate-neutral.
+std::vector<std::string> CheckJournal(
+    const JournalSummary& summary,
+    const std::vector<std::string>& required_events, uint64_t max_errors);
 
 /// Append the history-free journal gates ("journal:errors", and
 /// "journal:dropped" when enabled) for an externally-read journal file

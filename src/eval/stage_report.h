@@ -9,7 +9,7 @@
 ///   ends in ".csv").
 /// - ValidateTelemetryJson / ValidateTelemetryCsv are dependency-free
 ///   schema checks (the JSON grammar lives in common/json.h) used by the
-///   telemetry_check tool and the telemetry tests, so CI can gate on a
+///   `stemroot check telemetry` and the telemetry tests, so CI can gate on a
 ///   malformed export without external JSON libraries.
 
 #pragma once

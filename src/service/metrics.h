@@ -21,8 +21,8 @@
 /// (Prometheus convention), `_us` for microsecond-valued families.
 /// Telemetry counters under the `service.*` prefix are environmental
 /// (excluded from the compare gate) and must be registered here:
-/// RegisteredServiceCounters() is the closed set that
-/// `metrics_check --lint-manifest` enforces, so a typo'd or undocumented
+/// RegisteredServiceCounters() is the closed set that `stemroot check
+/// manifest --lint-manifest` enforces, so a typo'd or undocumented
 /// service counter fails CI instead of silently escaping the gates.
 
 #pragma once
@@ -143,8 +143,8 @@ class ServiceMetrics {
 
 /// The closed set of telemetry counter names the service may emit under
 /// the environmental `service.*` prefix (sorted). Adding a counter to
-/// the service REQUIRES adding it here — the metrics_check manifest lint
-/// rejects any `service.*` name outside this set.
+/// the service REQUIRES adding it here — the `stemroot check manifest
+/// --lint-manifest` lint rejects any `service.*` name outside this set.
 std::span<const std::string_view> RegisteredServiceCounters();
 bool IsRegisteredServiceCounter(std::string_view name);
 
@@ -152,7 +152,27 @@ bool IsRegisteredServiceCounter(std::string_view name);
 /// 0.0.4): `# TYPE` line per family, counters suffixed `_total`, the
 /// per-verb latency summaries with quantile labels. Deterministic for
 /// identical inputs (fixed family and label order). Validated by
-/// tools/metrics_check.
+/// ValidatePrometheusText (`stemroot check metrics`).
 std::string PrometheusText(const ServiceStats& stats);
+
+/// Validate a Prometheus text exposition. Every line is blank, a comment,
+/// a `# TYPE <name> counter|gauge|summary|histogram` declaration, or a
+/// `<name>[{labels}] <value>` sample; names match
+/// [a-zA-Z_:][a-zA-Z0-9_:]*; every sample follows its family's `# TYPE`;
+/// counter families end in `_total`; values parse (locale-proof) as
+/// finite numbers; counters and every stemroot_process_* /
+/// stemroot_mem_* sample are >= 0.
+///
+/// A non-empty `previous` is an earlier scrape of the same process,
+/// validated the same way. No counter sample, and no sample of a gauge
+/// that is monotone by construction (stemroot_process_hwm_bytes, the
+/// stemroot_mem_* logical peaks), may then be lower in `text` or missing
+/// from it.
+///
+/// Returns one message per problem ("line N: why" for `text`, "previous
+/// scrape line N: why" for `previous`); empty means valid.
+std::vector<std::string> ValidatePrometheusText(std::string_view text,
+                                                std::string_view previous =
+                                                    {});
 
 }  // namespace stemroot::service

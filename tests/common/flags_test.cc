@@ -64,5 +64,27 @@ TEST(FlagsTest, UnknownFlagsDetected) {
   EXPECT_NO_THROW(clean.CheckAllRead());
 }
 
+TEST(FlagsTest, GetAllKeepsEveryValueOfARepeatableFlag) {
+  const Flags flags = Make({"check", "--require-event", "a", "--seed", "7",
+                            "--require-event=b"});
+  EXPECT_EQ(flags.GetAll("require-event"),
+            (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(flags.GetAll("require-stage"), std::vector<std::string>{});
+  EXPECT_EQ(flags.GetInt("seed", 0), 7);
+  EXPECT_NO_THROW(flags.CheckAllRead());
+}
+
+TEST(FlagsTest, RepeatedSingleValueFlagIsRejected) {
+  // The last value must not silently win: every single-value getter
+  // refuses a flag given twice.
+  const Flags flags = Make({"--seed", "1", "--seed", "2"});
+  EXPECT_THROW(flags.GetInt("seed", 0), std::invalid_argument);
+  EXPECT_THROW(flags.GetString("seed", ""), std::invalid_argument);
+  EXPECT_THROW(flags.GetDouble("seed", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.GetBool("seed", false), std::invalid_argument);
+  EXPECT_THROW(flags.Require("seed"), std::invalid_argument);
+  EXPECT_EQ(flags.GetAll("seed"), (std::vector<std::string>{"1", "2"}));
+}
+
 }  // namespace
 }  // namespace stemroot

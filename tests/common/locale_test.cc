@@ -19,6 +19,7 @@
 #include "common/str.h"
 #include "common/telemetry.h"
 #include "core/sampler_registry.h"
+#include "service/metrics.h"
 
 namespace stemroot {
 namespace {
@@ -115,6 +116,21 @@ TEST(LocaleTest, FlagsParseDoublesUnderHostileLocale) {
   const Flags flags = Flags::Parse(4, argv);
   EXPECT_EQ(flags.GetDouble("scale", 1.0), 0.05);
   EXPECT_EQ(flags.GetInt("reps", 1), 3);
+}
+
+TEST(LocaleTest, ExpositionValidatorIgnoresTheGlobalLocale) {
+  // Sample values are dot-decimal whatever the locale: "1.5" must parse
+  // as one and a half, and a comma-decimal "1,5" is never a number.
+  ScopedHostileLocale hostile;
+  const std::string gauge = "# TYPE g gauge\ng ";
+  EXPECT_TRUE(service::ValidatePrometheusText(gauge + "1.5\n").empty());
+  EXPECT_FALSE(service::ValidatePrometheusText(gauge + "1,5\n").empty());
+  // 1.5 -> 1.25 went backwards; a parse stopping at the dot would read
+  // both as 1 and see no change.
+  const std::string hwm =
+      "# TYPE stemroot_process_hwm_bytes gauge\nstemroot_process_hwm_bytes ";
+  EXPECT_FALSE(
+      service::ValidatePrometheusText(hwm + "1.25\n", hwm + "1.5\n").empty());
 }
 
 TEST(LocaleTest, SamplerParamsRoundTripUnderHostileLocale) {

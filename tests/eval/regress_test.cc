@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace stemroot::eval {
 namespace {
@@ -581,6 +582,107 @@ TEST(RegressTest, BaselineIgnoresOtherFingerprintsAndCrashedRuns) {
   ASSERT_TRUE(report.checked);
   EXPECT_EQ(report.baseline_size, 2u);
   EXPECT_FALSE(report.HasRegression()) << report.ToText();
+}
+
+/// One well-formed journal line.
+std::string JournalLine(uint64_t ts, uint64_t seq, const char* sev,
+                        const char* event) {
+  return "{\"ts_us\":" + std::to_string(ts) + ",\"tid\":1,\"seq\":" +
+         std::to_string(seq) + ",\"sev\":\"" + sev + "\",\"event\":\"" +
+         event + "\"}";
+}
+
+/// Write `lines` (newline-terminated) plus an optional unterminated tail,
+/// then summarize the file through the one journal reader.
+JournalSummary SummarizeLines(const std::vector<std::string>& lines,
+                              const std::string& tail = "") {
+  const std::string path = ::testing::TempDir() + "/regress_journal_check.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+    out << tail;
+  }
+  JournalSummary summary = SummarizeJournalFile(path);
+  std::remove(path.c_str());
+  return summary;
+}
+
+std::vector<std::string> Check(const JournalSummary& summary) {
+  return CheckJournal(summary, {"session.open"}, 0);
+}
+
+/// A clean three-event journal as the writer emits it.
+std::vector<std::string> CleanJournal() {
+  return {JournalLine(10, 0, "info", "server.start"),
+          JournalLine(11, 1, "info", "session.open"),
+          JournalLine(11, 2, "debug", "session.feed")};
+}
+
+TEST(JournalCheckTest, CleanJournalAndTornFinalLinePass) {
+  const JournalSummary clean = SummarizeLines(CleanJournal());
+  EXPECT_EQ(Check(clean), std::vector<std::string>{});
+  EXPECT_EQ(clean.events, 3u);
+  EXPECT_EQ(clean.event_names.count("session.open"), 1u);
+
+  // A crash mid-append leaves a torn final line: tolerated, and reported
+  // as the torn tail rather than as a mid-file unparseable line.
+  const JournalSummary torn =
+      SummarizeLines(CleanJournal(), R"({"ts_us":12,"tid":1,"se)");
+  EXPECT_EQ(Check(torn), std::vector<std::string>{});
+  EXPECT_EQ(torn.unparseable, 1u);
+  EXPECT_EQ(torn.torn_tail, 1u);
+}
+
+TEST(JournalCheckTest, EachInvariantBreachFails) {
+  const struct {
+    std::vector<std::string> lines;
+    const char* why;
+  } cases[] = {
+      {{JournalLine(10, 0, "info", "session.open"), "garbage",
+        JournalLine(12, 1, "info", "x")},
+       "unparseable"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        JournalLine(11, 2, "info", "x")},
+       "seq gap"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        JournalLine(9, 1, "info", "x")},
+       "ts_us went backwards"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        R"({"ts_us":11,"seq":1,"sev":"info","event":"x"})"},
+       "reserved key"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        R"({"ts_us":-11,"tid":1,"seq":1,"sev":"info","event":"x"})"},
+       "reserved key"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        JournalLine(11, 1, "fatal", "x")},
+       "unknown severity"},
+      {{JournalLine(10, 0, "info", "server.start")}, "never emitted"},
+      {{JournalLine(10, 0, "info", "session.open"),
+        JournalLine(11, 1, "error", "x")},
+       "error event(s), max allowed 0"},
+  };
+  for (const auto& c : cases) {
+    const std::vector<std::string> failures = Check(SummarizeLines(c.lines));
+    ASSERT_EQ(failures.size(), 1u) << c.why;
+    EXPECT_NE(failures[0].find(c.why), std::string::npos) << failures[0];
+  }
+}
+
+TEST(JournalCheckTest, ErrorBoundAndMidFileGarbageRules) {
+  std::vector<std::string> lines = CleanJournal();
+  lines.push_back(JournalLine(12, 3, "error", "request.failed"));
+  lines.push_back(JournalLine(13, 4, "error", "request.failed"));
+  const JournalSummary summary = SummarizeLines(lines);
+  EXPECT_FALSE(CheckJournal(summary, {}, 1).empty());
+  EXPECT_TRUE(CheckJournal(summary, {}, 2).empty());
+
+  // Mid-file garbage counts as unparseable like a torn tail does (the
+  // regress gate ignores both), but only the torn tail passes the check.
+  lines.insert(lines.begin() + 1, "{\"ts_us\":");
+  const JournalSummary garbled = SummarizeLines(lines);
+  EXPECT_EQ(garbled.unparseable, 1u);
+  EXPECT_EQ(garbled.torn_tail, 0u);
+  EXPECT_FALSE(CheckJournal(garbled, {}, 2).empty());
 }
 
 }  // namespace

@@ -176,5 +176,102 @@ TEST(ServiceMetricsTest, PrometheusLinesAreWellFormed) {
   }
 }
 
+/// MakeStats plus the process-resource and logical-memory families serve
+/// mode adds.
+ServiceStats MakePopulatedStats() {
+  ServiceStats stats = MakeStats();
+  stats.process_rss_bytes = 50u << 20;
+  stats.process_hwm_bytes = 64u << 20;
+  stats.resource_samples = 9;
+  stats.process_cpu_user_seconds = 1.25;
+  stats.process_cpu_system_seconds = 0.5;
+  stats.mem_logical = {{"trace", 4096}, {"service.session", 512}};
+  return stats;
+}
+
+/// True when some problem message contains `needle`.
+bool Mentions(const std::vector<std::string>& problems,
+              const std::string& needle) {
+  for (const std::string& problem : problems)
+    if (problem.find(needle) != std::string::npos) return true;
+  return false;
+}
+
+TEST(PrometheusValidatorTest, AcceptsTheWritersOwnExposition) {
+  const ServiceStats earlier = MakePopulatedStats();
+  ServiceStats later = earlier;
+  later.sessions_opened += 2;
+  later.verbs[1].requests += 5;
+  later.process_rss_bytes -= 1 << 20;  // plain gauge: may fall
+  later.process_hwm_bytes += 1 << 20;
+  later.mem_logical["trace"] = 8192;
+  const std::string text = PrometheusText(later);
+  EXPECT_EQ(ValidatePrometheusText(text), std::vector<std::string>{});
+  EXPECT_EQ(ValidatePrometheusText(text, PrometheusText(earlier)),
+            std::vector<std::string>{});
+  EXPECT_EQ(ValidatePrometheusText(text, text), std::vector<std::string>{});
+}
+
+TEST(PrometheusValidatorTest, RejectsEachMalformedClass) {
+  const struct {
+    const char* text;
+    const char* why;
+  } cases[] = {
+      {"# TYPE bad-name gauge\n", "bad metric name"},
+      {"# TYPE x gauge\nx-y 1\n", "bad metric name"},
+      {"# TYPE requests counter\nrequests 1\n", "must end in _total"},
+      {"# TYPE g gauge\n", ""},  // valid control
+      {"orphan 1\n", "no preceding # TYPE"},
+      {"# TYPE g gauge\ng NaN\n", "finite number"},
+      {"# TYPE g gauge\ng +Inf\n", "finite number"},
+      {"# TYPE g gauge\ng\n", "malformed sample line"},
+      {"# TYPE g gauge\ng{a=\"b\" 1\n", "unterminated label set"},
+      {"# TYPE g broken\n", "malformed TYPE line"},
+      {"# TYPE c_total counter\nc_total -1\n", "counter 'c_total' is negative"},
+      {"# TYPE stemroot_process_rss_bytes gauge\n"
+       "stemroot_process_rss_bytes -5\n",
+       "resource gauge"},
+  };
+  for (const auto& c : cases) {
+    const std::vector<std::string> problems = ValidatePrometheusText(c.text);
+    if (*c.why == '\0') {
+      EXPECT_TRUE(problems.empty()) << c.text;
+    } else {
+      EXPECT_TRUE(Mentions(problems, c.why)) << c.text;
+    }
+  }
+  // A plain gauge may be negative; the problems carry the line number.
+  EXPECT_TRUE(ValidatePrometheusText("# TYPE g gauge\ng -1\n").empty());
+  EXPECT_TRUE(Mentions(ValidatePrometheusText("# TYPE g gauge\n\nh 1\n"),
+                       "line 3:"));
+}
+
+TEST(PrometheusValidatorTest, PreviousScrapeHoldsMonotoneFamilies) {
+  const std::string counter = "# TYPE c_total counter\nc_total{v=\"a\"} ";
+  EXPECT_TRUE(ValidatePrometheusText(counter + "5\n", counter + "5\n").empty());
+  EXPECT_TRUE(Mentions(ValidatePrometheusText(counter + "4\n", counter + "5\n"),
+                       "went backwards"));
+
+  const std::string hwm =
+      "# TYPE stemroot_process_hwm_bytes gauge\nstemroot_process_hwm_bytes ";
+  EXPECT_TRUE(Mentions(ValidatePrometheusText(hwm + "10\n", hwm + "11\n"),
+                       "high-water gauge"));
+  const std::string peak =
+      "# TYPE stemroot_mem_trace_bytes gauge\nstemroot_mem_trace_bytes ";
+  EXPECT_TRUE(Mentions(ValidatePrometheusText(peak + "1\n", peak + "2\n"),
+                       "went backwards"));
+
+  // A counter sample present before must not vanish later.
+  EXPECT_TRUE(Mentions(ValidatePrometheusText("# TYPE c_total counter\n",
+                                              counter + "5\n"),
+                       "vanished"));
+  // An ordinary gauge is free to fall.
+  const std::string gauge = "# TYPE g gauge\ng ";
+  EXPECT_TRUE(ValidatePrometheusText(gauge + "1\n", gauge + "9\n").empty());
+  // Problems in the earlier scrape are reported as such.
+  EXPECT_TRUE(Mentions(ValidatePrometheusText(gauge + "1\n", "orphan 1\n"),
+                       "previous scrape line 1:"));
+}
+
 }  // namespace
 }  // namespace stemroot::service

@@ -13,8 +13,8 @@
 # never a crash or silent bad data.
 #
 # After ctest, every mode smoke-runs the `stemroot run` pipeline with
-# --telemetry (JSON and CSV, gated on tools/telemetry_check) and --trace
-# (gated on tools/trace_check), then `stemroot audit` with a 95%
+# --telemetry (JSON and CSV, gated on `stemroot check telemetry`) and
+# --trace (gated on `stemroot check trace`), then `stemroot audit` with a 95%
 # within-budget floor: a malformed export, a missing pipeline stage span
 # or trace event, or a broken error model fails the sweep. Each mode then
 # drills the content-addressed profile cache: a cold run must store, a
@@ -38,6 +38,22 @@ MODES=("$@")
 [ ${#MODES[@]} -eq 0 ] && MODES=(plain tsan asan)
 FILTER="${SR_CHECK_FILTER:-}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+
+# check_rejects KIND CUT [FLAG...]: `stemroot check KIND CUT` must refuse
+# the truncated artifact CUT with exit 1 and a clean message -- never
+# accept it, crash, or trip a sanitizer. Runs run_mode's ${check[@]}.
+check_rejects() {
+  local kind="$1" cut="$2" rc=0
+  shift 2
+  "${check[@]}" "$kind" "$cut" "$@" >/dev/null 2>"$cut.err" || rc=$?
+  if [ "$rc" -ne 1 ] || grep -q 'Sanitizer\|runtime error' "$cut.err"; then
+    echo "check $kind negative control FAILED: $cut gave exit $rc" >&2
+    cat "$cut.err" >&2; exit 1
+  fi
+}
+
+# truncate_half SRC DST: DST gets the first half of SRC's bytes.
+truncate_half() { head -c "$(( $(wc -c < "$1") / 2 ))" "$1" > "$2"; }
 
 run_mode() {
   local mode="$1" sanitize="" dir="build-check-$1"
@@ -67,12 +83,16 @@ run_mode() {
     *)    ctest "${ctest_args[@]}" -j "$JOBS" ;;
   esac
 
-  echo "=== [$mode] telemetry smoke (stemroot run + telemetry_check) ==="
+  echo "=== [$mode] telemetry smoke (stemroot run + check telemetry) ==="
   # Same sanitizer runtime options as the ctest runs above; in particular
   # detect_leaks=0 -- the telemetry span stacks are intentionally leaked
   # per-thread state (see src/common/telemetry.cc).
   local san_env=(ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1"
                  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1")
+  # Every artifact below is gated by `stemroot check <kind>`; each kind
+  # also gets a negative control (check_rejects) on a truncated copy of
+  # its own artifact, so a validator that always exits 0 fails the sweep.
+  local check=(env "${san_env[@]}" "$dir/tools/stemroot" check)
   # Smoke runs share one per-mode cache directory (never the repo-level
   # default bench_results/cache) so the sweep is hermetic; the dedicated
   # cache drill below uses a separate directory it corrupts on purpose.
@@ -85,25 +105,29 @@ run_mode() {
       --method stem --scale 0.02 --reps 2 --threads 4 \
       --cache "$smoke_cache" \
       --telemetry "$smoke" --trace "$trace" >/dev/null
-  "$dir/tools/telemetry_check" "$smoke" \
+  "${check[@]}" telemetry "$smoke" \
       --require-stage generate --require-stage profile \
       --require-stage cluster --require-stage sample \
       --require-stage evaluate
+  truncate_half "$smoke" "$dir/telemetry-cut.json"
+  check_rejects telemetry "$dir/telemetry-cut.json"
 
-  echo "=== [$mode] trace smoke (trace_check on the --trace export) ==="
+  echo "=== [$mode] trace smoke (check trace on the --trace export) ==="
   # --threads 4 above guarantees the parallel.chunk scopes exist; the
   # stage scopes come from the pipeline spans feeding the trace layer.
-  "$dir/tools/trace_check" "$trace" \
+  "${check[@]}" trace "$trace" \
       --require-event cluster --require-event kkt.solve \
       --require-event parallel.chunk --min-events 10
+  truncate_half "$trace" "$dir/trace-cut.json"
+  check_rejects trace "$dir/trace-cut.json"
 
-  echo "=== [$mode] telemetry CSV round-trip (telemetry_check .csv) ==="
+  echo "=== [$mode] telemetry CSV round-trip (check telemetry .csv) ==="
   env "${san_env[@]}" \
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 1 --threads 2 \
       --cache "$smoke_cache" \
       --telemetry "$smoke_csv" >/dev/null
-  "$dir/tools/telemetry_check" "$smoke_csv"
+  "${check[@]}" telemetry "$smoke_csv"
 
   echo "=== [$mode] audit smoke (stemroot audit --min-within 0.95) ==="
   env "${san_env[@]}" \
@@ -111,7 +135,7 @@ run_mode() {
       --seed 42 --trials 3 --min-within 0.95 --cache "$smoke_cache" \
       --json "$dir/audit-smoke.json" >/dev/null
 
-  echo "=== [$mode] manifest smoke (run manifests + manifest_check) ==="
+  echo "=== [$mode] manifest smoke (run manifests + check manifest) ==="
   # Two identical-seed runs at different --threads: the manifests must
   # validate, and `stemroot compare` must find zero deterministic drift
   # (the determinism contract made machine-checkable).
@@ -124,10 +148,12 @@ run_mode() {
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 42 --threads 4 \
       --cache "$smoke_cache" --manifest "$man_b" >/dev/null
-  "$dir/tools/manifest_check" "$man_a" "$man_b" \
+  "${check[@]}" manifest "$man_a" "$man_b" \
       --require-stage generate --require-stage profile \
       --require-stage cluster --require-stage sample \
-      --require-stage evaluate --require-completed
+      --require-stage evaluate --require-completed true
+  truncate_half "$man_a" "$dir/manifest-cut.json"
+  check_rejects manifest "$dir/manifest-cut.json"
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_a" "$man_b" >/dev/null
 
@@ -140,14 +166,14 @@ run_mode() {
   local drill="$dir/regress-drill"
   rm -rf "$drill"; mkdir -p "$drill"
   for _ in 1 2 3; do
-    "$dir/tools/manifest_check" "$man_a" \
+    "${check[@]}" manifest "$man_a" \
         --append-to "$drill/ledger.jsonl" >/dev/null
   done
   env "${san_env[@]}" \
     "$dir/tools/stemroot" regress --ledger "$drill/ledger.jsonl" >/dev/null
 
   cp "$drill/ledger.jsonl" "$drill/slow.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --scale-stage evaluate=1.05 \
+  "${check[@]}" manifest "$man_a" --scale-stage evaluate=1.05 \
       --append-to "$drill/slow.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/slow.jsonl" >/dev/null
@@ -156,7 +182,7 @@ run_mode() {
   fi
 
   cp "$drill/ledger.jsonl" "$drill/inaccurate.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-error-pct 99 \
+  "${check[@]}" manifest "$man_a" --set-error-pct 99 \
       --append-to "$drill/inaccurate.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/inaccurate.jsonl" \
@@ -177,7 +203,7 @@ run_mode() {
   # Forged physical blow-up: a 1 TiB peak-RSS entry on a stable baseline
   # must trip the mem:peak_rss gate.
   cp "$drill/ledger.jsonl" "$drill/hog.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-mem peak_rss=1099511627776 \
+  "${check[@]}" manifest "$man_a" --set-mem peak_rss=1099511627776 \
       --append-to "$drill/hog.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/hog.jsonl" >/dev/null
@@ -187,12 +213,30 @@ run_mode() {
   # Forged logical blow-up: an inflated deterministic category must trip
   # its mem:<category> gate the same way.
   cp "$drill/ledger.jsonl" "$drill/bloat.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-mem trace=1099511627776 \
+  "${check[@]}" manifest "$man_a" --set-mem trace=1099511627776 \
       --append-to "$drill/bloat.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/bloat.jsonl" >/dev/null
   then
     echo "mem drill FAILED: inflated logical mem not detected" >&2; exit 1
+  fi
+
+  echo "=== [$mode] empty-bench drill (a filter matching nothing fails) ==="
+  # A --benchmark_filter that matches no benchmark measured nothing: the
+  # bench must exit nonzero, leave a completed=false manifest, and append
+  # no ledger line (it would start a bogus series). It runs in its own
+  # directory, since benches write bench_results/ under the cwd.
+  local zdir="$dir/empty-bench-drill" zrc=0
+  local zbench="$PWD/$dir/bench/perf_scalability"
+  rm -rf "$zdir"; mkdir -p "$zdir"
+  (cd "$zdir" && env "${san_env[@]}" "$zbench" \
+      --benchmark_filter=NoSuchBenchmark --ledger ledger.jsonl) \
+      >/dev/null 2>&1 || zrc=$?
+  if [ "$zrc" -eq 0 ] || [ -e "$zdir/ledger.jsonl" ] ||
+     ! grep -q '"completed": false' \
+       "$zdir/bench_results/BENCH_perf_scalability.json"; then
+    echo "empty-bench drill FAILED: exit $zrc, or a ledger line or a" \
+         "completed manifest was written" >&2; exit 1
   fi
 
   echo "=== [$mode] sim-determinism drill (sharded engine, DESIGN.md §12) ==="
@@ -219,8 +263,8 @@ run_mode() {
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 --threads 1 \
       --manifest "$sim_d" >/dev/null
-  "$dir/tools/manifest_check" "$sim_a" "$sim_b" "$sim_c" "$sim_d" \
-      --require-completed \
+  "${check[@]}" manifest "$sim_a" "$sim_b" "$sim_c" "$sim_d" \
+      --require-completed true \
       --require-counter sim.kernels_simulated \
       --require-counter dse.points >/dev/null
   env "${san_env[@]}" \
@@ -241,7 +285,7 @@ run_mode() {
   # of the trace seen), proven by a nonzero service.early_stops counter.
   # The server also exercises the live-introspection surface (DESIGN.md
   # §14): a Prometheus exposition file rewritten every 0.5s, a structured
-  # event journal, and the stats verb -- all gated below by metrics_check.
+  # event journal, and the stats verb -- all gated below by stemroot check.
   local sdir="$dir/serve-drill"
   rm -rf "$sdir"; mkdir -p "$sdir"
   local sock="$sdir/sock"
@@ -323,15 +367,22 @@ EARLY
 
   # Exposition format + counter monotonicity across the two scrapes,
   # journal invariants (reserved keys, monotone ts, gap-free seq, no
-  # error events), and the service.* counter-name lint on a session
-  # manifest -- all in tools/metrics_check.
-  "$dir/tools/metrics_check" "$sdir/metrics-mid.prom" >/dev/null
-  "$dir/tools/metrics_check" "$sdir/metrics.prom" \
-      --prev "$sdir/metrics-mid.prom" \
-      --journal "$sdir/journal.jsonl" --require-event session.open \
+  # error events), and (below) the service.* counter-name lint on a
+  # session manifest. A truncated later scrape loses samples the earlier
+  # one had; a journal cut inside its first line keeps no session.open.
+  "${check[@]}" metrics "$sdir/metrics-mid.prom" >/dev/null
+  "${check[@]}" metrics "$sdir/metrics.prom" \
+      --prev "$sdir/metrics-mid.prom" >/dev/null
+  "${check[@]}" journal "$sdir/journal.jsonl" --require-event session.open \
       --max-errors 0 >/dev/null
+  truncate_half "$sdir/metrics.prom" "$sdir/metrics-cut.prom"
+  check_rejects metrics "$sdir/metrics-cut.prom" \
+      --prev "$sdir/metrics-mid.prom"
+  head -c 40 "$sdir/journal.jsonl" > "$sdir/journal-cut.jsonl"
+  check_rejects journal "$sdir/journal-cut.jsonl" \
+      --require-event session.open
   # Serve mode auto-enables the resource sampler: the exposition must
-  # carry the process-memory families (metrics_check above already held
+  # carry the process-memory families (check metrics above already held
   # stemroot_process_hwm_bytes and stemroot_mem_* to high-water
   # monotonicity across the two scrapes).
   for fam in stemroot_process_rss_bytes stemroot_process_hwm_bytes; do
@@ -355,22 +406,22 @@ EARLY
 
   # Session 2 converged on ~4k of ~14k invocations: the manifest must
   # validate and carry the early-stop evidence.
-  "$dir/tools/manifest_check" "$sdir/session-early.json" \
-      --require-completed \
+  "${check[@]}" manifest "$sdir/session-early.json" \
+      --require-completed true \
       --require-counter service.early_stops \
       --require-counter service.feed_invocations >/dev/null
   # Session 1 fed everything: byte-identical deterministic fields vs the
   # batch run of the same config (manifest smoke's man_a), despite the
   # different command, thread count, and transport.
-  "$dir/tools/manifest_check" "$sdir/session-full.json" \
-      --require-completed --require-stage evaluate >/dev/null
+  "${check[@]}" manifest "$sdir/session-full.json" \
+      --require-completed true --require-stage evaluate >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_a" "$sdir/session-full.json" \
       >/dev/null
   # Session manifests carry service.* counters: the counter-name lint
   # must accept the registered set...
-  "$dir/tools/metrics_check" \
-      --lint-manifest "$sdir/session-early.json" >/dev/null
+  "${check[@]}" manifest --lint-manifest "$sdir/session-early.json" \
+      >/dev/null
   # ...and the journal is machine-gateable: a clean run passes
   # `stemroot regress --journal`, a forged error event trips it.
   env "${san_env[@]}" \
@@ -410,7 +461,7 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 2 \
       --cache "$cdir" --manifest "$man_cold" >/dev/null
-  "$dir/tools/manifest_check" "$man_cold" --require-completed \
+  "${check[@]}" manifest "$man_cold" --require-completed true \
       --require-counter cache.miss --require-counter cache.store >/dev/null
   env "${san_env[@]}" "$dir/tools/stemroot" cache stats --cache "$cdir"
   env "${san_env[@]}" \
@@ -423,7 +474,7 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 4 \
       --cache "$cdir" --manifest "$man_warm" >/dev/null
-  "$dir/tools/manifest_check" "$man_warm" --require-completed \
+  "${check[@]}" manifest "$man_warm" --require-completed true \
       --require-counter cache.hit \
       --stage-leq generate="$man_cold" \
       --stage-leq profile="$man_cold" >/dev/null
@@ -444,7 +495,7 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 2 \
       --cache "$cdir" --manifest "$man_recover" >/dev/null
-  "$dir/tools/manifest_check" "$man_recover" --require-completed \
+  "${check[@]}" manifest "$man_recover" --require-completed true \
       --require-counter cache.corrupt >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_cold" "$man_recover" >/dev/null
@@ -497,8 +548,8 @@ EARLY
       --method stem --scale 0.02 --reps 2 --seed 13 --threads 4 \
       --cache "$smoke_cache" --trace-chunk-invocations 256 \
       --trace-spill "$odir/spill-run" --manifest "$man_chunked" >/dev/null
-  "$dir/tools/manifest_check" "$man_chunked" --require-completed \
-      --require-spill --require-counter cache.spill_write >/dev/null
+  "${check[@]}" manifest "$man_chunked" --require-completed true \
+      --require-spill true --require-counter cache.spill_write >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_inmem" "$man_chunked" >/dev/null
 
@@ -517,8 +568,8 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_stream" >/dev/null
-  "$dir/tools/manifest_check" "$man_stream" --require-completed \
-      --require-spill --require-counter eval.stream.invocations \
+  "${check[@]}" manifest "$man_stream" --require-completed true \
+      --require-spill true --require-counter eval.stream.invocations \
       --max-logical trace=1000000 >/dev/null
 
   # (c) Spill reuse: an identical rerun must verify every chunk digest
@@ -527,7 +578,7 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_reuse" >/dev/null
-  "$dir/tools/manifest_check" "$man_reuse" --require-spill \
+  "${check[@]}" manifest "$man_reuse" --require-spill true \
       --require-counter cache.spill_reuse >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_reuse" >/dev/null
@@ -546,7 +597,7 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_rebuild" >/dev/null
-  "$dir/tools/manifest_check" "$man_rebuild" --require-spill \
+  "${check[@]}" manifest "$man_rebuild" --require-spill true \
       --require-counter cache.spill_rebuild >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_rebuild" >/dev/null
@@ -558,7 +609,7 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_trunc" >/dev/null
-  "$dir/tools/manifest_check" "$man_trunc" --require-spill \
+  "${check[@]}" manifest "$man_trunc" --require-spill true \
       --require-counter cache.spill_rebuild >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_trunc" >/dev/null

@@ -13,6 +13,7 @@
 ///   stemroot compare  A.json B.json
 ///   stemroot regress  --ledger bench_results/ledger.jsonl --window 8
 ///   stemroot cache    stats|verify|evict [--cache DIR] [--max-bytes N]
+///   stemroot check    manifest|telemetry|trace|metrics|journal FILE...
 ///
 /// `serve` hosts the resident service::Service over an AF_UNIX socket
 /// speaking the line-delimited JSON protocol (service/protocol.h);
@@ -45,12 +46,17 @@
 /// cache entries; sampling plans are CSVs of (invocation, weight) -- the
 /// "sampling information" a simulator embeds.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "baselines/registry.h"
 #include "common/build_info.h"
@@ -78,6 +84,7 @@
 #include "eval/stream.h"
 #include "eval/trace_cache.h"
 #include "hw/profile.h"
+#include "service/metrics.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "trace/chunked.h"
@@ -123,6 +130,7 @@ commands:
   journal   tail FILE [--min-severity debug|info|warn|error] [--verb EVENT]
             [--follow true] [--poll-ms N]
   cache     stats|verify|evict [--cache DIR] [--max-bytes N]
+  check     manifest|telemetry|trace|metrics|journal FILE... [--flags]
 
 methods come from the sampler registry (stem random pka sieve photon
 tbpoint); sampler parameters (--epsilon, --probability, --confidence, ...)
@@ -176,6 +184,25 @@ mismatch); wall times are reported but never gated. regress checks the
 newest ledger entry against up to --window prior same-config runs with
 noise-aware thresholds (median + max(C*MAD, slack)); exit 3 on any
 perf/accuracy regression, so CI can gate on it.
+
+check validates the artifacts the other commands write and exits 1 on
+any failure (a flag followed by ... may be repeated):
+  check manifest FILE... [--require-stage NAME]... [--require-counter
+        NAME]... [--require-completed true] [--require-spill true]
+        [--stage-leq NAME=OTHER.json]... [--max-logical KEY=BYTES]...
+        [--lint-manifest SESSION.json]
+    --lint-manifest rejects service.* counters outside the registered
+    set. Forging (one FILE, after it validates): [--scale-stage
+    NAME=FACTOR] [--set-error-pct X] [--set-mem KEY=BYTES]... write a
+    controlled fault to [--out FILE] and/or [--append-to LEDGER].
+  check telemetry FILE.json|FILE.csv... [--require-stage NAME]...
+  check trace FILE.json... [--require-event NAME]... [--min-events N]
+  check metrics FILE.prom... [--prev EARLIER.prom]
+    exposition format; with --prev, counters and high-water gauges must
+    not go backwards or vanish.
+  check journal FILE.jsonl... [--require-event NAME]... [--max-errors N]
+    reserved keys, monotone ts_us, gap-free seq, known severities; only
+    a torn final line is tolerated.
 
 cache manages the content-addressed profiled-trace cache: stats prints
 entry count and bytes, verify checks every entry's header and checksum
@@ -1033,6 +1060,317 @@ int CmdSession(const Flags& flags) {
   return service::RunClient(options, in, std::cout);
 }
 
+// --- stemroot check: one validator for every artifact the tools emit ---
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Split a `--flag KEY=VALUE` spec; both sides must be non-empty.
+std::pair<std::string, std::string> SplitSpec(const char* flag,
+                                              const std::string& spec) {
+  const size_t eq = spec.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size())
+    throw std::invalid_argument(Format("--%s wants KEY=VALUE, got '%s'",
+                                       flag, spec.c_str()));
+  return {spec.substr(0, eq), spec.substr(eq + 1)};
+}
+
+/// Every `--flag KEY=BYTES` spec of a repeatable byte-count flag.
+std::vector<std::pair<std::string, uint64_t>> ByteSpecs(const Flags& flags,
+                                                        const char* flag) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const std::string& spec : flags.GetAll(flag)) {
+    const auto [key, value] = SplitSpec(flag, spec);
+    const std::optional<int64_t> bytes = ParseInt(value);
+    if (!bytes || *bytes < 0)
+      throw std::invalid_argument(
+          Format("bad --%s '%s' (want KEY=BYTES)", flag, spec.c_str()));
+    out.emplace_back(key, static_cast<uint64_t>(*bytes));
+  }
+  return out;
+}
+
+bool Contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Validates one file: appends each failure to `failures` and returns the
+/// detail its "ok" line prints. Throws on an unreadable file.
+using FileCheck = std::function<std::string(
+    const std::string& path, std::vector<std::string>& failures)>;
+
+FileCheck TelemetryCheck(const Flags& flags) {
+  return [stages = flags.GetAll("require-stage")](
+             const std::string& path, std::vector<std::string>& failures) {
+    const std::string text = ReadFile(path);
+    std::string error;
+    std::vector<std::string> spans;
+    if (!(path.ends_with(".csv")
+              ? eval::ValidateTelemetryCsv(text, &error, &spans)
+              : eval::ValidateTelemetryJson(text, &error, &spans))) {
+      failures.push_back(error);
+      return std::string();
+    }
+    for (const std::string& stage : stages)
+      if (!Contains(spans, stage))
+        failures.push_back("missing required stage span \"" + stage + "\"");
+    return Format("%zu spans", spans.size());
+  };
+}
+
+FileCheck TraceCheck(const Flags& flags) {
+  return [required = flags.GetAll("require-event"),
+          min_events = flags.GetInt("min-events", 0)](
+             const std::string& path, std::vector<std::string>& failures) {
+    std::string error;
+    std::vector<std::string> names;
+    trace_events::TraceInfo info;
+    if (!trace_events::ValidateTraceJson(ReadFile(path), &error, &names,
+                                         &info)) {
+      failures.push_back(error);
+      return std::string();
+    }
+    for (const std::string& name : required)
+      if (!Contains(names, name))
+        failures.push_back("missing required event \"" + name + "\"");
+    if (static_cast<int64_t>(info.events) < min_events)
+      failures.push_back(Format("%zu events, below --min-events %lld",
+                                info.events,
+                                static_cast<long long>(min_events)));
+    return Format("%zu events, %zu threads", info.events, info.threads);
+  };
+}
+
+/// `check manifest`: schema plus the requested stage, counter, spill and
+/// logical-memory checks; then, on a valid manifest, the forging flags
+/// that write a controlled fault (slowdown, accuracy or memory blow-up)
+/// to --out and/or --append-to for the regress drills.
+struct ManifestCheck {
+  std::vector<std::string> stages, counters;
+  std::vector<std::pair<std::string, std::string>> stage_leq;  // stage, file
+  bool require_completed = false;
+  bool require_spill = false;
+  std::vector<std::pair<std::string, uint64_t>> max_logical;
+  std::string scale_stage;
+  double scale_factor = 1.0;
+  std::optional<double> error_pct;
+  std::vector<std::pair<std::string, uint64_t>> set_mem;
+  std::string out, append_to;
+
+  explicit ManifestCheck(const Flags& flags)
+      : stages(flags.GetAll("require-stage")),
+        counters(flags.GetAll("require-counter")),
+        require_completed(flags.GetBool("require-completed", false)),
+        require_spill(flags.GetBool("require-spill", false)),
+        max_logical(ByteSpecs(flags, "max-logical")),
+        set_mem(ByteSpecs(flags, "set-mem")),
+        out(flags.GetString("out", "")),
+        append_to(flags.GetString("append-to", "")) {
+    for (const std::string& spec : flags.GetAll("stage-leq"))
+      stage_leq.push_back(SplitSpec("stage-leq", spec));
+    if (const std::string spec = flags.GetString("scale-stage", "");
+        !spec.empty()) {
+      std::string factor;
+      std::tie(scale_stage, factor) = SplitSpec("scale-stage", spec);
+      const std::optional<double> value = ParseDouble(factor);
+      if (!value || *value <= 0.0)
+        throw std::invalid_argument("bad --scale-stage '" + spec + "'");
+      scale_factor = *value;
+    }
+    if (flags.Has("set-error-pct"))
+      error_pct = flags.GetDouble("set-error-pct", 0.0);
+  }
+
+  bool Forging() const {
+    return !scale_stage.empty() || error_pct || !set_mem.empty() ||
+           !out.empty() || !append_to.empty();
+  }
+
+  std::string operator()(const std::string& path,
+                         std::vector<std::string>& failures) const {
+    eval::RunManifest manifest = eval::RunManifest::Load(path);
+    for (const std::string& stage : stages)
+      if (manifest.FindStage(stage) == nullptr)
+        failures.push_back("missing required stage \"" + stage + "\"");
+    for (const std::string& counter : counters) {
+      const auto it = manifest.counters.find(counter);
+      if (it == manifest.counters.end() || it->second == 0)
+        failures.push_back("counter \"" + counter + "\" missing or zero");
+    }
+    for (const auto& [stage, other_path] : stage_leq) {
+      const eval::RunManifest other = eval::RunManifest::Load(other_path);
+      const auto* mine = manifest.FindStage(stage);
+      const auto* theirs = other.FindStage(stage);
+      if (mine == nullptr || theirs == nullptr)
+        failures.push_back("--stage-leq " + stage + ": stage missing in " +
+                           (mine == nullptr ? path : other_path));
+      else if (mine->total_us > theirs->total_us)
+        failures.push_back(
+            Format("stage \"%s\" took %.1f us, more than %.1f us in %s",
+                   stage.c_str(), mine->total_us, theirs->total_us,
+                   other_path.c_str()));
+    }
+    if (require_completed && !manifest.completed)
+      failures.push_back("not a completed run");
+    if (require_spill &&
+        (!manifest.trace_spill.present || manifest.trace_spill.chunks == 0))
+      failures.push_back("missing or empty trace_spill block");
+    for (const auto& [key, bytes] : max_logical) {
+      const auto it = manifest.mem.logical.find(key);
+      if (!manifest.mem.present || it == manifest.mem.logical.end())
+        failures.push_back("logical mem category \"" + key + "\" absent");
+      else if (it->second > bytes)
+        failures.push_back(Format(
+            "logical mem \"%s\" = %llu bytes, above the %llu-byte bound",
+            key.c_str(), static_cast<unsigned long long>(it->second),
+            static_cast<unsigned long long>(bytes)));
+    }
+    const std::string detail =
+        Format("%s %s, %zu stages, completed=%s", manifest.tool.c_str(),
+               manifest.command.c_str(), manifest.stages.size(),
+               manifest.completed ? "true" : "false");
+    if (failures.empty() && Forging()) Forge(manifest);
+    return detail;
+  }
+
+  void Forge(eval::RunManifest& manifest) const {
+    if (!scale_stage.empty()) {
+      bool found = false;
+      for (auto& row : manifest.stages) {
+        if (row.name != scale_stage) continue;
+        row.total_us *= scale_factor;
+        found = true;
+      }
+      if (!found)
+        throw std::runtime_error("no stage \"" + scale_stage + "\" to scale");
+      // Keep the manifest self-consistent: the total moves with its
+      // slowest stage.
+      manifest.wall_time_seconds *= scale_factor;
+    }
+    if (error_pct) {
+      manifest.metrics.present = true;
+      manifest.metrics.error_pct = *error_pct;
+    }
+    for (const auto& [key, bytes] : set_mem) {
+      manifest.mem.present = true;
+      if (key == "peak_rss")
+        manifest.mem.peak_rss_bytes = bytes;
+      else
+        manifest.mem.logical[key] = bytes;
+    }
+    if (!out.empty()) manifest.Save(out);
+    if (!append_to.empty()) eval::Ledger::Append(manifest, append_to);
+  }
+};
+
+/// `check manifest --lint-manifest`: every service.* counter must be in
+/// the closed registered set, so a typo cannot slip past compare's
+/// service.* exclusion.
+std::string LintServiceCounters(const std::string& path,
+                                std::vector<std::string>& failures) {
+  for (const auto& [name, value] : eval::RunManifest::Load(path).counters)
+    if (StartsWith(name, "service.") &&
+        !service::IsRegisteredServiceCounter(name))
+      failures.push_back("unregistered service counter '" + name +
+                         "' (add it to service::RegisteredServiceCounters "
+                         "or rename)");
+  return "service counters registered";
+}
+
+FileCheck MetricsCheck(const Flags& flags) {
+  const std::string prev_path = flags.GetString("prev", "");
+  return [prev_path](const std::string& path,
+                     std::vector<std::string>& failures) {
+    failures = service::ValidatePrometheusText(
+        ReadFile(path), prev_path.empty() ? "" : ReadFile(prev_path));
+    return prev_path.empty() ? std::string() : "monotone since " + prev_path;
+  };
+}
+
+FileCheck JournalCheck(const Flags& flags) {
+  const int64_t max_errors = flags.GetInt("max-errors", 0);
+  if (max_errors < 0)
+    throw std::invalid_argument("check: --max-errors must be >= 0");
+  return [required = flags.GetAll("require-event"), max_errors](
+             const std::string& path, std::vector<std::string>& failures) {
+    const eval::JournalSummary summary = eval::SummarizeJournalFile(path);
+    failures = eval::CheckJournal(summary, required,
+                                  static_cast<uint64_t>(max_errors));
+    return Format("%llu events, %llu torn tail",
+                  static_cast<unsigned long long>(summary.events),
+                  static_cast<unsigned long long>(summary.torn_tail));
+  };
+}
+
+/// Run `check` over every file, reporting "check KIND: FILE: why" per
+/// failure on stderr and "check KIND: FILE ok (...)" on stdout; returns
+/// the number of failures.
+size_t RunChecks(const std::string& kind, const std::vector<std::string>& files,
+                 const FileCheck& check) {
+  size_t total = 0;
+  for (const std::string& path : files) {
+    std::vector<std::string> failures;
+    std::string detail;
+    try {
+      detail = check(path, failures);
+    } catch (const std::runtime_error& e) {
+      failures.push_back(e.what());
+    }
+    for (const std::string& why : failures)
+      std::fprintf(stderr, "check %s: %s: %s\n", kind.c_str(), path.c_str(),
+                   why.c_str());
+    if (failures.empty())
+      std::printf("check %s: %s ok%s\n", kind.c_str(), path.c_str(),
+                  detail.empty() ? "" : (" (" + detail + ")").c_str());
+    total += failures.size();
+  }
+  return total;
+}
+
+int CmdCheck(const Flags& flags) {
+  const std::vector<std::string>& pos = flags.Positional();
+  const std::string kind = pos.empty() ? "" : pos[0];
+  const std::vector<std::string> files(pos.begin() + (pos.empty() ? 0 : 1),
+                                       pos.end());
+  FileCheck check;
+  std::string lint;
+  if (kind == "manifest") {
+    const ManifestCheck manifest(flags);
+    if (manifest.Forging() && files.size() != 1)
+      throw std::invalid_argument(
+          "check manifest: forging takes exactly one manifest file");
+    lint = flags.GetString("lint-manifest", "");
+    check = manifest;
+  } else if (kind == "telemetry") {
+    check = TelemetryCheck(flags);
+  } else if (kind == "trace") {
+    check = TraceCheck(flags);
+  } else if (kind == "metrics") {
+    check = MetricsCheck(flags);
+  } else if (kind == "journal") {
+    check = JournalCheck(flags);
+  } else {
+    throw std::invalid_argument(
+        "check: unknown kind '" + kind +
+        "' (manifest, telemetry, trace, metrics, journal)");
+  }
+  flags.CheckAllRead();
+  if (files.empty() && lint.empty())
+    throw std::invalid_argument("check " + kind + ": no file to check");
+
+  size_t failures = RunChecks(kind, files, check);
+  if (!lint.empty()) failures += RunChecks(kind, {lint}, LintServiceCounters);
+  if (failures > 0)
+    std::fprintf(stderr, "check %s: %zu failure(s)\n", kind.c_str(),
+                 failures);
+  return failures > 0 ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1087,6 +1425,7 @@ int main(int argc, char** argv) {
     else if (command == "cache") rc = CmdCache(flags);
     else if (command == "compare") rc = CmdCompare(flags);
     else if (command == "regress") rc = CmdRegress(flags);
+    else if (command == "check") rc = CmdCheck(flags);
     else {
       std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
       return Usage();
