@@ -4,11 +4,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string_view>
 
 #include "baselines/registry.h"
 #include "common/log.h"
 #include "common/parallel.h"
+#include "common/str.h"
 #include "common/telemetry.h"
 #include "common/trace_events.h"
 #include "core/sampler_registry.h"
@@ -70,12 +73,12 @@ Session::Session(int argc, const char* const* argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       cache_dir = argv[i + 1];
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const int n = std::atoi(argv[i + 1]);
-      if (n < 0) {
+      const std::optional<int64_t> n = ParseInt(argv[i + 1]);
+      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
         std::fprintf(stderr, "bad --threads value '%s'\n", argv[i + 1]);
         std::exit(2);
       }
-      SetNumThreads(n);
+      SetNumThreads(static_cast<int>(*n));
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       telemetry_path_ = argv[i + 1];
     } else if (std::strcmp(argv[i], "--trace") == 0) {

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "bench_util.h"
 #include "common/csv.h"
@@ -64,8 +65,15 @@ std::vector<KernelTrace> ReducedWorkloads(const hw::HardwareModel& gpu) {
 }
 
 int64_t IntFlag(int argc, char** argv, const char* flag, int64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atoll(argv[i + 1]);
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    const std::optional<int64_t> value = ParseInt(argv[i + 1]);
+    if (!value) {
+      std::fprintf(stderr, "bad %s value '%s'\n", flag, argv[i + 1]);
+      std::exit(2);
+    }
+    return *value;
+  }
   return fallback;
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/telemetry.h"
 #include "common/trace_events.h"
 
 namespace stemroot {
@@ -227,9 +228,15 @@ void RunRegion(size_t begin, size_t end, size_t grain, size_t lanes,
     if (exact_pool ? pool.NumWorkers() + 1 != lanes
                    : pool.NumWorkers() < helpers)
       pool.Resize(exact_pool ? lanes - 1 : helpers);
+    // Helpers record into the submitter's telemetry sink; the caller's
+    // wait below keeps the sink alive until the last helper is done.
+    telemetry::Sink* sink = telemetry::CurrentSink();
     for (size_t h = 0; h < helpers; ++h) {
-      pool.Submit([state] {
-        RunChunks(*state);
+      pool.Submit([state, sink] {
+        {
+          telemetry::SinkScope scope(sink);
+          RunChunks(*state);
+        }
         {
           std::lock_guard<std::mutex> lock(state->done_mu);
           --state->helpers_left;

@@ -12,6 +12,9 @@
 /// - **Exception propagation.** The first exception thrown by any loop
 ///   body cancels the remaining chunks and is rethrown on the calling
 ///   thread once all in-flight work has drained.
+/// - **Telemetry attribution.** Pool tasks run under the submitting
+///   thread's telemetry sink (common/telemetry.h), so what a loop body
+///   records is credited to the caller, on whichever thread it ran.
 /// - **Nested-call safety.** A ParallelFor issued from inside another
 ///   parallel region (worker thread or a caller executing chunks) runs
 ///   serially inline: no deadlock, no oversubscription, same results.

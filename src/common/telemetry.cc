@@ -47,29 +47,64 @@ struct SpanAgg {
 
 using SpanKey = std::pair<std::string, std::string>;  // (name, parent)
 
-/// One thread's private staging area. The mutex is uncontended on the hot
-/// path (only Capture/Reset from another thread ever take it).
-struct ThreadBuffer {
-  std::mutex mu;
+}  // namespace
+
+struct Tally {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, std::vector<double>> values;
   std::map<SpanKey, SpanAgg> spans;
 
-  bool Empty() const {
-    return counters.empty() && values.empty() && spans.empty();
+  /// Move everything from `other` into this tally and clear `other`.
+  void Drain(Tally& other) {
+    for (const auto& [name, value] : other.counters) counters[name] += value;
+    for (auto& [name, vals] : other.values) {
+      std::vector<double>& mine = values[name];
+      mine.insert(mine.end(), vals.begin(), vals.end());
+    }
+    for (const auto& [key, agg] : other.spans) spans[key].Merge(agg);
+    other.Clear();
+  }
+
+  void Clear() {
+    counters.clear();
+    values.clear();
+    spans.clear();
+  }
+
+  /// The one merge into a Snapshot, for Capture() and Sink::Capture().
+  /// Distributions merge deterministically as a sorted multiset: the value
+  /// *set* is schedule-invariant even though arrival order is not.
+  Snapshot Freeze() const {
+    Snapshot snap;
+    snap.counters_ = counters;
+    snap.values_ = values;
+    for (auto& [name, vals] : snap.values_)
+      std::sort(vals.begin(), vals.end());
+    for (const auto& [key, agg] : spans)
+      snap.spans_[key] = {key.first, key.second, agg.count, agg.total_us,
+                          agg.min_us, agg.max_us};
+    return snap;
   }
 };
+
+/// One thread's (or one sink's) staging area. A thread buffer's mutex is
+/// uncontended on the hot path (only Capture/Reset from another thread
+/// ever take it); a sink's is shared by the pool tasks working for it.
+struct Buffer {
+  std::mutex mu;
+  Tally tally;
+};
+
+namespace {
 
 /// Central aggregate + the list of live thread buffers. Leaked on purpose:
 /// worker threads may outlive static destruction order, and their
 /// thread_local handles must always find a live registry.
 struct Registry {
   std::atomic<bool> enabled{false};
-  std::mutex mu;  ///< guards buffers + the central maps below
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, std::vector<double>> values;
-  std::map<SpanKey, SpanAgg> spans;
+  std::mutex mu;  ///< guards buffers + the central tally below
+  std::vector<std::shared_ptr<Buffer>> buffers;
+  Tally central;
 };
 
 Registry& Reg() {
@@ -77,24 +112,10 @@ Registry& Reg() {
   return *registry;
 }
 
-/// Merge one buffer into the central maps (registry mutex already held by
-/// the caller; the buffer's own mutex too). Clears the buffer.
-void DrainLocked(ThreadBuffer& buf, Registry& reg) {
-  for (const auto& [name, value] : buf.counters) reg.counters[name] += value;
-  for (auto& [name, vals] : buf.values) {
-    std::vector<double>& central = reg.values[name];
-    central.insert(central.end(), vals.begin(), vals.end());
-  }
-  for (const auto& [key, agg] : buf.spans) reg.spans[key].Merge(agg);
-  buf.counters.clear();
-  buf.values.clear();
-  buf.spans.clear();
-}
-
 /// Thread-exit hook: flush the buffer into the central aggregate and drop
 /// it from the live list.
 struct TlsHandle {
-  std::shared_ptr<ThreadBuffer> buf;
+  std::shared_ptr<Buffer> buf;
 
   ~TlsHandle() {
     if (!buf) return;
@@ -102,22 +123,25 @@ struct TlsHandle {
     std::lock_guard<std::mutex> reg_lock(reg.mu);
     {
       std::lock_guard<std::mutex> buf_lock(buf->mu);
-      DrainLocked(*buf, reg);
+      reg.central.Drain(buf->tally);
     }
     std::erase(reg.buffers, buf);
   }
 };
 
-ThreadBuffer& LocalBuffer() {
+Buffer& LocalBuffer() {
   thread_local TlsHandle handle;
   if (!handle.buf) {
-    handle.buf = std::make_shared<ThreadBuffer>();
+    handle.buf = std::make_shared<Buffer>();
     Registry& reg = Reg();
     std::lock_guard<std::mutex> lock(reg.mu);
     reg.buffers.push_back(handle.buf);
   }
   return *handle.buf;
 }
+
+/// The sink the calling thread records into (nullptr = its own buffer).
+thread_local Sink* tls_sink = nullptr;
 
 /// Innermost open span names of the current thread (for parent lookup).
 thread_local std::vector<std::string>* tls_span_stack = nullptr;
@@ -167,6 +191,10 @@ void AppendDistJson(std::string& out, const DistSummary& s) {
 
 }  // namespace
 
+Buffer& Target() {
+  return tls_sink != nullptr ? *tls_sink->buffer_ : LocalBuffer();
+}
+
 void SetEnabled(bool enabled) {
   Reg().enabled.store(enabled, std::memory_order_relaxed);
 }
@@ -175,17 +203,17 @@ bool Enabled() { return Reg().enabled.load(std::memory_order_relaxed); }
 
 void Count(std::string_view name, uint64_t delta) {
   if (!Enabled()) return;
-  ThreadBuffer& buf = LocalBuffer();
+  Buffer& buf = Target();
   std::lock_guard<std::mutex> lock(buf.mu);
-  buf.counters[std::string(name)] += delta;
+  buf.tally.counters[std::string(name)] += delta;
 }
 
 void Record(std::string_view name, double value) {
   if (!Enabled()) return;
   if (!std::isfinite(value)) return;
-  ThreadBuffer& buf = LocalBuffer();
+  Buffer& buf = Target();
   std::lock_guard<std::mutex> lock(buf.mu);
-  buf.values[std::string(name)].push_back(value);
+  buf.tally.values[std::string(name)].push_back(value);
 }
 
 Span::Span(std::string_view name) {
@@ -221,9 +249,9 @@ Span::~Span() {
   std::vector<std::string>& stack = SpanStack();
   if (!stack.empty() && stack.back() == name_) stack.pop_back();
   if (!Enabled()) return;
-  ThreadBuffer& buf = LocalBuffer();
+  Buffer& buf = Target();
   std::lock_guard<std::mutex> lock(buf.mu);
-  buf.spans[SpanKey(name_, parent_)].Add(us);
+  buf.tally.spans[SpanKey(name_, parent_)].Add(us);
 }
 
 uint64_t Snapshot::Counter(std::string_view name) const {
@@ -326,75 +354,11 @@ std::string Snapshot::ToCsv() const {
 Snapshot Capture() {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> reg_lock(reg.mu);
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
+  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
-    DrainLocked(*buf, reg);
+    reg.central.Drain(buf->tally);
   }
-  Snapshot snap;
-  snap.counters_ = reg.counters;
-  snap.values_ = reg.values;
-  // Distributions merge deterministically as a sorted multiset: the value
-  // *set* is schedule-invariant even though arrival order is not.
-  for (auto& [name, vals] : snap.values_)
-    std::sort(vals.begin(), vals.end());
-  for (const auto& [key, agg] : reg.spans) {
-    SpanStats stats;
-    stats.name = key.first;
-    stats.parent = key.second;
-    stats.count = agg.count;
-    stats.total_us = agg.total_us;
-    stats.min_us = agg.min_us;
-    stats.max_us = agg.max_us;
-    snap.spans_[key] = stats;
-  }
-  return snap;
-}
-
-Snapshot Sample() {
-  Registry& reg = Reg();
-  std::lock_guard<std::mutex> reg_lock(reg.mu);
-  Snapshot snap;
-  snap.counters_ = reg.counters;
-  snap.values_ = reg.values;
-  for (const auto& [key, agg] : reg.spans) {
-    SpanStats stats;
-    stats.name = key.first;
-    stats.parent = key.second;
-    stats.count = agg.count;
-    stats.total_us = agg.total_us;
-    stats.min_us = agg.min_us;
-    stats.max_us = agg.max_us;
-    snap.spans_[key] = stats;
-  }
-  // Overlay each live buffer without clearing it (the non-draining
-  // contract). The buffer mutex is held only for the copy.
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
-    std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (const auto& [name, value] : buf->counters)
-      snap.counters_[name] += value;
-    for (const auto& [name, vals] : buf->values) {
-      std::vector<double>& central = snap.values_[name];
-      central.insert(central.end(), vals.begin(), vals.end());
-    }
-    for (const auto& [key, agg] : buf->spans) {
-      SpanStats& stats = snap.spans_[key];
-      stats.name = key.first;
-      stats.parent = key.second;
-      SpanAgg merged;
-      merged.count = stats.count;
-      merged.total_us = stats.total_us;
-      merged.min_us = stats.min_us;
-      merged.max_us = stats.max_us;
-      merged.Merge(agg);
-      stats.count = merged.count;
-      stats.total_us = merged.total_us;
-      stats.min_us = merged.min_us;
-      stats.max_us = merged.max_us;
-    }
-  }
-  for (auto& [name, vals] : snap.values_)
-    std::sort(vals.begin(), vals.end());
-  return snap;
+  return reg.central.Freeze();
 }
 
 std::map<std::string, uint64_t> CounterDeltas(const Snapshot& before,
@@ -410,15 +374,26 @@ std::map<std::string, uint64_t> CounterDeltas(const Snapshot& before,
 void Reset() {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> reg_lock(reg.mu);
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
+  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
-    buf->counters.clear();
-    buf->values.clear();
-    buf->spans.clear();
+    buf->tally.Clear();
   }
-  reg.counters.clear();
-  reg.values.clear();
-  reg.spans.clear();
+  reg.central.Clear();
 }
+
+Sink::Sink() : buffer_(std::make_unique<Buffer>()) {}
+
+Sink::~Sink() = default;
+
+Snapshot Sink::Capture() const {
+  std::lock_guard<std::mutex> lock(buffer_->mu);
+  return buffer_->tally.Freeze();
+}
+
+SinkScope::SinkScope(Sink* sink) : previous_(tls_sink) { tls_sink = sink; }
+
+SinkScope::~SinkScope() { tls_sink = previous_; }
+
+Sink* CurrentSink() { return tls_sink; }
 
 }  // namespace stemroot::telemetry

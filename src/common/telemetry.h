@@ -23,6 +23,11 @@
 ///   per-thread buffer mutex is uncontended on the hot path. Capture() and
 ///   Reset() must not race a parallel region that is still recording
 ///   (call them between regions, as the CLI and benches do).
+/// - **Attribution.** A Sink is a private destination: inside a SinkScope
+///   the calling thread's Count/Record/Span land in the sink instead of
+///   the global aggregate, and ParallelFor/ParallelMap/ParallelLanes run
+///   their pool tasks under the submitting thread's sink, so work on pool
+///   threads is credited to whoever submitted it.
 ///
 /// Spans aggregate by (name, parent) where parent is the innermost open
 /// span on the same thread ("" at top level -- e.g. inside a worker-thread
@@ -33,11 +38,15 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace stemroot::telemetry {
+
+struct Tally;   ///< unsorted counters/values/span aggregates (telemetry.cc)
+struct Buffer;  ///< one mutex-guarded Tally (telemetry.cc)
 
 /// Turn collection on or off (default off). Flipping the switch does not
 /// clear existing data; pair with Reset() for a fresh run.
@@ -132,8 +141,7 @@ class Snapshot {
   std::string DistributionsJson() const;
 
  private:
-  friend Snapshot Capture();
-  friend Snapshot Sample();
+  friend struct Tally;
 
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, std::vector<double>> values_;
@@ -145,22 +153,6 @@ class Snapshot {
 /// Reset(). Do not call while a parallel region is recording.
 Snapshot Capture();
 
-/// Lock-light, mid-run-safe sibling of Capture(): merge a *copy* of every
-/// live thread buffer over the central aggregate without draining
-/// anything, so recording state is untouched — a later Capture() sees
-/// exactly what it would have seen had Sample() never run, and the
-/// determinism contract on the final export is preserved. Safe to call
-/// while parallel regions are recording (each buffer's mutex is held just
-/// long enough to copy it); a concurrent recorder blocks only for that
-/// copy, never for the cross-buffer merge.
-///
-/// A mid-run Sample() is a live observation: its counter values depend on
-/// how far each thread has progressed and are NOT schedule-invariant.
-/// Only quiesced samples (between parallel regions) match Capture()
-/// byte-for-byte. Deltas between two Samples bound live throughput; the
-/// final Capture() remains the deterministic record.
-Snapshot Sample();
-
 /// Per-counter increase from `before` to `after` (both cumulative
 /// snapshots of one process). Counters absent from `before` count from
 /// zero; counters that did not grow are omitted, so the result is exactly
@@ -168,7 +160,48 @@ Snapshot Sample();
 std::map<std::string, uint64_t> CounterDeltas(const Snapshot& before,
                                               const Snapshot& after);
 
-/// Clear the central aggregate and all live thread buffers.
+/// Clear the central aggregate and all live thread buffers. Sinks are
+/// left alone: each belongs to whoever created it.
 void Reset();
+
+/// A private recording destination with one mutex-guarded buffer. What a
+/// thread records inside a SinkScope on it never reaches Capture(); the
+/// sink's own Capture() merges it exactly as the global one does, so its
+/// counters and distributions are byte-identical at any thread count.
+/// A sink must outlive every scope that routes into it.
+class Sink {
+ public:
+  Sink();
+  ~Sink();
+
+  Sink(const Sink&) = delete;
+  Sink& operator=(const Sink&) = delete;
+
+  /// Everything recorded into this sink so far (not drained).
+  Snapshot Capture() const;
+
+ private:
+  friend Buffer& Target();
+
+  std::unique_ptr<Buffer> buffer_;
+};
+
+/// RAII: route the calling thread's Count/Record/Span into `sink` until
+/// the scope closes, then restore the previous route. nullptr routes to
+/// the global aggregate.
+class SinkScope {
+ public:
+  explicit SinkScope(Sink* sink);
+  ~SinkScope();
+
+  SinkScope(const SinkScope&) = delete;
+  SinkScope& operator=(const SinkScope&) = delete;
+
+ private:
+  Sink* previous_;
+};
+
+/// The calling thread's current sink; nullptr outside any SinkScope.
+Sink* CurrentSink();
 
 }  // namespace stemroot::telemetry

@@ -16,7 +16,6 @@
 #include "core/kkt.h"
 #include "eval/options.h"
 #include "eval/pipeline.h"
-#include "eval/stage_report.h"
 #include "eval/trace_cache.h"
 
 namespace stemroot::service {
@@ -29,68 +28,6 @@ namespace {
 /// streams.
 constexpr uint64_t kStreamingStream = 0x53455256ULL;  // "SERV"
 constexpr uint64_t kShuffleStream = 0x53485546ULL;    // "SHUF"
-
-/// Serializes the telemetry-instrumented pipeline operations of ALL
-/// sessions (telemetry is process-global): inside the lock, a
-/// capture-run-capture window sees exactly the counters and spans the
-/// wrapped operation produced. Static so multiple Service instances in
-/// one process still share the one window.
-std::mutex& TelemetryWindowMu() {
-  static std::mutex mu;
-  return mu;
-}
-
-struct StageAgg {
-  uint64_t count = 0;
-  double total_us = 0.0;
-};
-
-/// Span aggregates folded over parents, keyed by name (the StageReport
-/// view: per-thread nesting makes parents schedule-dependent, totals per
-/// name are not).
-std::map<std::string, StageAgg> SpansByName(const telemetry::Snapshot& s) {
-  std::map<std::string, StageAgg> out;
-  for (const auto& [key, stats] : s.Spans()) {
-    StageAgg& agg = out[key.first];
-    agg.count += stats.count;
-    agg.total_us += stats.total_us;
-  }
-  return out;
-}
-
-/// Fold the delta between two cumulative snapshots into a session's
-/// private ledger. The service.* counters are excluded: concurrent
-/// sessions' Feed/Query calls may land between the captures, so the
-/// exact values come from session-local tallies instead.
-void AccumulateWindow(std::map<std::string, uint64_t>& counters,
-                      std::map<std::string, StageAgg>& stages,
-                      const telemetry::Snapshot& before,
-                      const telemetry::Snapshot& after) {
-  for (const auto& [name, delta] :
-       telemetry::CounterDeltas(before, after)) {
-    if (name.rfind("service.", 0) == 0) continue;
-    counters[name] += delta;
-  }
-  const std::map<std::string, StageAgg> b = SpansByName(before);
-  for (const auto& [name, agg] : SpansByName(after)) {
-    const auto it = b.find(name);
-    const StageAgg prior = it == b.end() ? StageAgg{} : it->second;
-    if (agg.count <= prior.count) continue;
-    StageAgg& out = stages[name];
-    out.count += agg.count - prior.count;
-    out.total_us += agg.total_us - prior.total_us;
-  }
-}
-
-template <typename Fn>
-auto TelemetryWindow(std::map<std::string, uint64_t>& counters,
-                     std::map<std::string, StageAgg>& stages, Fn&& fn) {
-  std::lock_guard<std::mutex> lock(TelemetryWindowMu());
-  const telemetry::Snapshot before = telemetry::Capture();
-  auto result = fn();
-  AccumulateWindow(counters, stages, before, telemetry::Capture());
-  return result;
-}
 
 eval::Pipeline::Options PipelineOpts(const SessionConfig& config) {
   eval::Pipeline::Options options;
@@ -110,26 +47,6 @@ std::unique_ptr<core::Sampler> MakeSessionSampler(const SessionConfig& config) {
   if (config.epsilon > 0.0) params.Set("epsilon", config.epsilon);
   if (config.confidence > 0.0) params.Set("confidence", config.confidence);
   return core::SamplerRegistry::Global().Create(config.method, params);
-}
-
-/// Manifest stage rows in StageReport order: canonical pipeline stages
-/// first, then other span names alphabetically (std::map order).
-std::vector<eval::RunManifest::Stage> StageRows(
-    const std::map<std::string, StageAgg>& stages) {
-  std::vector<eval::RunManifest::Stage> out;
-  const std::vector<std::string>& canonical = eval::PipelineStageNames();
-  for (const std::string& name : canonical) {
-    const auto it = stages.find(name);
-    if (it == stages.end()) continue;
-    out.push_back({name, it->second.count, it->second.total_us});
-  }
-  for (const auto& [name, agg] : stages) {
-    if (std::find(canonical.begin(), canonical.end(), name) !=
-        canonical.end())
-      continue;
-    out.push_back({name, agg.count, agg.total_us});
-  }
-  return out;
 }
 
 /// RAII request instrumentation: stamps the verb's latency histogram and
@@ -223,8 +140,9 @@ struct Service::Session {
   std::optional<eval::Pipeline> source;  ///< generated source, when any
   std::vector<uint32_t> feed_order;  ///< source permutation
   size_t cursor = 0;                 ///< next feed_order position
-  std::map<std::string, uint64_t> counters;   ///< window counter deltas
-  std::map<std::string, StageAgg> stages;     ///< window stage deltas
+  /// Telemetry of the pipeline stages run for this session (and of the
+  /// pool tasks they submit); the close manifest reads only this.
+  telemetry::Sink sink;
   uint64_t feed_invocations = 0;
   bool early_stopped = false;
   bool converged_reported = false;  ///< journaled session.converged once
@@ -282,14 +200,12 @@ SessionId Service::OpenSession(const SessionConfig& config) {
   if (!config.workload.empty()) {
     const workloads::SuiteId suite = eval::ResolveSuite(config.suite);
     const hw::GpuSpec spec = eval::ResolveGpu(config.gpu);
-    eval::Pipeline pipeline =
-        TelemetryWindow(session->counters, session->stages, [&] {
-          return eval::Pipeline::GenerateProfiled(
-              {.suite = suite,
-               .workload = config.workload,
-               .options = PipelineOpts(config)},
-              spec);
-        });
+    telemetry::SinkScope scope(&session->sink);
+    eval::Pipeline pipeline = eval::Pipeline::GenerateProfiled(
+        {.suite = suite,
+         .workload = config.workload,
+         .options = PipelineOpts(config)},
+        spec);
     const size_t n = pipeline.Trace().NumInvocations();
     session->feed_order.resize(n);
     std::iota(session->feed_order.begin(), session->feed_order.end(), 0u);
@@ -504,11 +420,10 @@ core::SamplingPlan Service::BuildPlan(SessionId id) {
   std::lock_guard<std::mutex> lock(session->mu);
   if (session->accumulated.Empty())
     throw std::logic_error("service: BuildPlan before any Feed");
-  return TelemetryWindow(session->counters, session->stages, [&] {
-    return eval::Pipeline::FromTrace(session->accumulated,
-                                     PipelineOpts(session->config))
-        .Sample(*session->sampler);
-  });
+  telemetry::SinkScope scope(&session->sink);
+  return eval::Pipeline::FromTrace(session->accumulated,
+                                   PipelineOpts(session->config))
+      .Sample(*session->sampler);
 }
 
 eval::EvalResult Service::Evaluate(SessionId id) {
@@ -517,14 +432,11 @@ eval::EvalResult Service::Evaluate(SessionId id) {
   std::lock_guard<std::mutex> lock(session->mu);
   if (session->accumulated.Empty())
     throw std::logic_error("service: Evaluate before any Feed");
-  eval::EvalResult result =
-      TelemetryWindow(session->counters, session->stages, [&] {
-        return eval::Pipeline::FromTrace(session->accumulated,
-                                         PipelineOpts(session->config))
-            .Evaluate(*session->sampler, session->config.reps);
-      });
-  session->last_eval = result;
-  return result;
+  telemetry::SinkScope scope(&session->sink);
+  session->last_eval = eval::Pipeline::FromTrace(
+                           session->accumulated, PipelineOpts(session->config))
+                           .Evaluate(*session->sampler, session->config.reps);
+  return *session->last_eval;
 }
 
 eval::RunManifest Service::CloseSession(SessionId id) {
@@ -561,11 +473,10 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   manifest.config.reps = session->config.reps;
   manifest.config.threads = NumThreads();
   if (session->last_eval) FillMetrics(manifest, *session->last_eval);
-  manifest.counters = session->counters;
+  manifest.FillFromSnapshot(session->sink.Capture());
   manifest.counters["service.sessions"] = 1;
   manifest.counters["service.feed_invocations"] = session->feed_invocations;
   manifest.counters["service.early_stops"] = session->early_stopped ? 1 : 0;
-  manifest.stages = StageRows(session->stages);
   manifest.wall_time_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     session->opened_at)

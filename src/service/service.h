@@ -25,13 +25,14 @@
 /// tests/service/service_test.cc.
 ///
 /// **Threading.** A Service is long-lived and thread-safe: sessions are
-/// independently locked, so concurrent Feed/Query on different sessions
-/// proceed in parallel. Operations that run telemetry-instrumented
-/// pipeline stages (OpenSession's generate+profile, BuildPlan, Evaluate)
-/// serialize on a process-wide telemetry window so each session's
-/// manifest captures exactly its own counter/stage deltas despite
-/// telemetry being process-global; the frequent operations (Feed, Query)
-/// never take that lock and emit only the service.* counters.
+/// independently locked, so every verb on different sessions proceeds in
+/// parallel. Each session owns a telemetry::Sink; OpenSession's
+/// generate+profile, BuildPlan and Evaluate record into it (pool tasks
+/// they submit included), so its manifest carries exactly its own
+/// counters and stages whatever other sessions do meanwhile. Feed and
+/// Query record outside any session sink: their streaming-ROOT and KKT
+/// counts, like the service.* counters, go to the process-wide telemetry
+/// aggregate, which is what `stemroot serve --telemetry` reports.
 ///
 /// **Manifests.** CloseSession returns a stemroot-manifest-v1 document
 /// (command "session") whose deterministic fields mirror what the batch

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -260,56 +259,63 @@ TEST_F(TelemetryTest, SpanClosesTraceBeginWhenTracingDisabledMidSpan) {
   trace_events::Reset();
 }
 
-TEST_F(TelemetryTest, SampleDoesNotDrainRecordingState) {
-  Count("a", 3);
-  Record("d", 1.0);
-  // A mid-run observer samples...
-  const Snapshot sample = Sample();
-  EXPECT_EQ(sample.Counter("a"), 3u);
-  EXPECT_EQ(sample.Dist("d").count, 1u);
-  // ...and the final capture still sees everything, as if Sample() had
-  // never run (non-draining contract).
-  Count("a", 2);
-  const Snapshot capture = Capture();
-  EXPECT_EQ(capture.Counter("a"), 5u);
-  EXPECT_EQ(capture.Dist("d").count, 1u);
-}
-
-TEST_F(TelemetryTest, QuiescedSampleMatchesCapture) {
-  SetNumThreads(4);
-  ParallelFor(0, 500, [](size_t i) {
-    Count("n");
-    Record("v", static_cast<double>(i % 7));
+/// A ParallelFor under a sink at `threads`, while another thread counts
+/// unscoped. Returns the sink's deterministic sections.
+std::string SinkRun(int threads) {
+  SetNumThreads(threads);
+  Sink sink;
+  std::thread bystander([] {
+    for (int i = 0; i < 1000; ++i) Count("global.only");
   });
-  // Between parallel regions Sample() and Capture() must agree exactly.
-  const std::string sampled = Sample().CountersJson();
-  const Snapshot captured = Capture();
-  EXPECT_EQ(sampled, captured.CountersJson());
-  EXPECT_EQ(Sample().DistributionsJson(), captured.DistributionsJson());
+  {
+    SinkScope scope(&sink);
+    ParallelFor(0, 500, [](size_t i) {
+      Span span("sink.span");
+      Count("sink.n");
+      Record("sink.v", static_cast<double>(i % 7));
+    });
+  }
+  bystander.join();
+  const Snapshot mine = sink.Capture();
+  const Snapshot global = Capture();
+  EXPECT_EQ(mine.Counter("sink.n"), 500u) << "threads=" << threads;
+  EXPECT_EQ(mine.Dist("sink.v").count, 500u);
+  EXPECT_TRUE(mine.HasSpan("sink.span"));
+  EXPECT_EQ(mine.Counter("global.only"), 0u);
+  EXPECT_EQ(global.Counter("global.only"), 1000u);
+  EXPECT_EQ(global.Counter("sink.n"), 0u) << "threads=" << threads;
+  EXPECT_EQ(global.Dist("sink.v").count, 0u);
+  EXPECT_FALSE(global.HasSpan("sink.span"));
+  Reset();
   SetNumThreads(0);
+  return mine.CountersJson() + mine.DistributionsJson();
 }
 
-TEST_F(TelemetryTest, SampleIsSafeDuringRecording) {
-  SetNumThreads(4);
-  std::atomic<bool> stop{false};
-  std::thread observer([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const Snapshot live = Sample();
-      // Live values are schedule-dependent; only sanity is asserted.
-      EXPECT_LE(live.Counter("n"), 2000u);
+TEST_F(TelemetryTest, SinkCollectsPoolTasksOfItsSubmitter) {
+  EXPECT_EQ(SinkRun(1), SinkRun(4));
+}
+
+TEST_F(TelemetryTest, SinkScopeRestoresThePreviousRoute) {
+  Sink outer;
+  Sink inner;
+  EXPECT_EQ(CurrentSink(), nullptr);
+  {
+    SinkScope a(&outer);
+    Count("x");
+    {
+      SinkScope b(&inner);
+      EXPECT_EQ(CurrentSink(), &inner);
+      Count("x", 2);
+      SinkScope global(nullptr);
+      Count("x", 4);
     }
-  });
-  ParallelFor(0, 2000, [](size_t i) {
-    Count("n");
-    Record("v", static_cast<double>(i % 10));
-  });
-  stop.store(true, std::memory_order_relaxed);
-  observer.join();
-  // The hammering observer must not have perturbed the final record.
-  const Snapshot snap = Capture();
-  EXPECT_EQ(snap.Counter("n"), 2000u);
-  EXPECT_EQ(snap.Dist("v").count, 2000u);
-  SetNumThreads(0);
+    EXPECT_EQ(CurrentSink(), &outer);
+    Count("x", 8);
+  }
+  EXPECT_EQ(CurrentSink(), nullptr);
+  EXPECT_EQ(outer.Capture().Counter("x"), 9u);
+  EXPECT_EQ(inner.Capture().Counter("x"), 2u);
+  EXPECT_EQ(Capture().Counter("x"), 4u);
 }
 
 TEST_F(TelemetryTest, CounterDeltasReportOnlyGrowth) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -342,6 +344,55 @@ TEST(ServiceTest, SessionManifestMirrorsBatchRun) {
   EXPECT_GT(session.counters.at("service.feed_invocations"), 0u);
   EXPECT_EQ(session.counters.at("service.early_stops"), 0u);
   EXPECT_FALSE(session.stages.empty());
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
+}
+
+TEST(ServiceTest, ConcurrentFeedsStayOutOfOtherSessionManifests) {
+  // Feed and Query run streaming ROOT (core.kmeans.*) and the KKT solver
+  // (core.kkt.*). Hammered on session 2 while session 1 opens and
+  // evaluates, none of that may reach session 1's manifest.
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  const SessionConfig config = SmallConfig();
+
+  eval::RunManifest batch;
+  Service::RunBatch(config, &batch);
+  batch.FillFromSnapshot(telemetry::Capture());
+
+  telemetry::Reset();
+  Service service;
+  SessionConfig other = SmallConfig();
+  other.seed = kSeed + 1;
+  const SessionId busy = service.OpenSession(other);
+  std::atomic<bool> stop{false};
+  std::thread neighbour([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      service.FeedFromSource(busy, 64);
+      service.Query(busy);
+    }
+  });
+  const SessionId id = service.OpenSession(config);
+  while (service.FeedFromSource(id, 1u << 30) > 0) {
+  }
+  service.Evaluate(id);
+  const eval::RunManifest session = service.CloseSession(id);
+  stop.store(true, std::memory_order_relaxed);
+  neighbour.join();
+  service.CloseSession(busy);
+
+  for (const auto& [name, value] : batch.counters) {
+    if (name.rfind("cache.", 0) == 0) continue;
+    EXPECT_EQ(session.counters.count(name), 1u) << name;
+    if (session.counters.count(name) == 1) {
+      EXPECT_EQ(session.counters.at(name), value) << name;
+    }
+  }
+  for (const auto& [name, value] : session.counters) {
+    if (name.rfind("service.", 0) == 0 || name.rfind("cache.", 0) == 0)
+      continue;
+    EXPECT_EQ(batch.counters.count(name), 1u) << name << " leaked in";
+  }
   telemetry::SetEnabled(false);
   telemetry::Reset();
 }

@@ -238,6 +238,17 @@ run_mode() {
     echo "empty-bench drill FAILED: exit $zrc, or a ledger line or a" \
          "completed manifest was written" >&2; exit 1
   fi
+  # A garbage --threads is a usage error (exit 2), not "auto": the bench
+  # stops before any benchmark runs, so the filter's exit 1 cannot mask
+  # it, and nothing reaches the ledger.
+  rm -rf "$zdir"; mkdir -p "$zdir"; zrc=0
+  (cd "$zdir" && env "${san_env[@]}" "$zbench" --threads abc \
+      --benchmark_filter=NoSuchBenchmark --ledger ledger.jsonl) \
+      >/dev/null 2>&1 || zrc=$?
+  if [ "$zrc" -ne 2 ] || [ -e "$zdir/ledger.jsonl" ]; then
+    echo "empty-bench drill FAILED: --threads abc gave exit $zrc" \
+         "(want 2), or a ledger line was written" >&2; exit 1
+  fi
 
   echo "=== [$mode] sim-determinism drill (sharded engine, DESIGN.md §12) ==="
   # The sharded cycle simulator's contract, machine-checked end to end:
